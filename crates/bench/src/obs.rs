@@ -27,8 +27,8 @@
 //!   reference; `blocked` is the cache-tiled, row-parallel implementation.
 //!   The default is `scalar`.
 //!
-//! And three shared *resilience* flags, applied to the run's `FlConfig` via
-//! [`ObsArgs::apply_fl`]:
+//! And the shared *resilience* flags plus the streaming threshold, applied to
+//! the run's `FlConfig` via [`ObsArgs::apply_fl`]:
 //!
 //! - `--chaos <spec>` — deterministic fault injection, e.g.
 //!   `--chaos drop=0.3,corrupt=0.1,panic=0.05,straggle=0.1,seed=42` (see
@@ -40,7 +40,9 @@
 //! - `--min-quorum <n>` — minimum surviving clients required to aggregate a
 //!   round; rounds below quorum are skipped, never fatal;
 //! - `--aggregator weighted|median|trimmed[:ratio]|krum[:f]|multi-krum:f:m|geomedian|normbound:max|clip:tau`
-//!   — the server-side aggregation statistic.
+//!   — the server-side aggregation statistic;
+//! - `--streaming-threshold <n>` — the cohort size at which training rounds
+//!   stream into a constant-memory sink (`1` streams every round).
 //!
 //! When a run emitted any resilience telemetry, [`Obs::finish`] prints a
 //! fault/retry/quorum summary next to the round table.
@@ -85,10 +87,8 @@ pub struct ObsArgs {
     pub detect: Option<bool>,
     /// Minimum aggregation quorum (`--min-quorum`).
     pub min_quorum: Option<usize>,
-    /// Forced round execution path (`--round-path auto|collect|streaming`).
-    pub round_path: Option<calibre_fl::RoundPath>,
-    /// Cohort size at which `auto` switches to streaming
-    /// (`--streaming-threshold`).
+    /// Cohort size at which training rounds switch to streaming
+    /// (`--streaming-threshold`); `1` streams every round.
     pub streaming_threshold: Option<usize>,
     /// Server aggregation statistic (`--aggregator`).
     pub aggregator: Option<calibre_fl::aggregate::Aggregator>,
@@ -144,11 +144,6 @@ impl ObsArgs {
             "min-quorum" => {
                 self.min_quorum = Some(value.parse().expect("--min-quorum must be an integer"));
             }
-            "round-path" => {
-                let path = calibre_fl::RoundPath::parse(value)
-                    .unwrap_or_else(|e| panic!("bad --round-path: {e}"));
-                self.round_path = Some(path);
-            }
             "streaming-threshold" => {
                 self.streaming_threshold = Some(
                     value
@@ -185,9 +180,6 @@ impl ObsArgs {
         }
         if let Some(aggregator) = self.aggregator {
             cfg.policy.aggregator = aggregator;
-        }
-        if let Some(path) = self.round_path {
-            cfg.streaming.path = path;
         }
         if let Some(threshold) = self.streaming_threshold {
             cfg.streaming.threshold = threshold;
@@ -407,12 +399,12 @@ mod tests {
         );
 
         let mut args = ObsArgs::default();
-        assert!(args.accept("round-path", "streaming"));
         assert!(args.accept("streaming-threshold", "8"));
         let mut cfg = calibre_fl::FlConfig::for_input(64);
         args.apply_fl(&mut cfg);
-        assert_eq!(cfg.streaming.path, calibre_fl::RoundPath::Streaming);
         assert_eq!(cfg.streaming.threshold, 8);
+        // The threshold is the only path knob: a forced path is gone.
+        assert!(!args.accept("round-path", "streaming"));
 
         // Absent flags leave the config alone.
         let mut untouched = calibre_fl::FlConfig::for_input(64);

@@ -13,9 +13,9 @@ use crate::loss::{calibre_loss, CalibreConfig, CalibreLoss};
 use calibre_data::batch::batches;
 use calibre_data::{AugmentConfig, ClientData, FederatedDataset, SynthVision};
 use calibre_fl::aggregate::{divergence_weights, sample_count_weights, StreamingWeightedSink};
-use calibre_fl::baselines::BaselineResult;
+use calibre_fl::baselines::{client_round_seed, BaselineResult};
 use calibre_fl::comm::CommReport;
-use calibre_fl::pfl_ssl::RoundObserver;
+use calibre_fl::pfl_ssl::{fresh_method, RoundObserver};
 use calibre_fl::resilient::ClientOutcome;
 use calibre_fl::scheduler::{RoundContext, RoundScheduler};
 use calibre_fl::transport::StreamUpdate;
@@ -235,10 +235,30 @@ pub fn train_calibre_encoder_observed(
             alpha: config.alpha * ramp,
             ..*config
         };
-        // Streaming path (above the cohort threshold or forced via
-        // `--round-path streaming`): fold wave by wave into a
-        // constant-memory sink with fresh per-client state each round.
-        // Divergence-aware aggregation is approximated per client as
+        // One client's local update from the round's global encoder:
+        // returns the Calibre loss decomposition and the SSL pool size.
+        let local_update = |id: usize, method: &mut dyn SslMethod| {
+            method.encoder_mut().load_flat(&global_flat);
+            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(fl.local_lr, fl.local_momentum));
+            let mut r = rng::seeded(client_round_seed(fl.seed, round, id));
+            let data = fed.client(id);
+            let update = calibre_local_update_detailed(
+                method,
+                data,
+                fed.generator(),
+                aug,
+                fl.local_epochs,
+                fl.batch_size,
+                &round_config,
+                &mut opt,
+                &mut r,
+            );
+            (update, data.ssl_pool().len())
+        };
+
+        // Streaming path (at or above the cohort threshold): fold wave by
+        // wave into a constant-memory sink with fresh per-client state each
+        // round. Divergence-aware aggregation is approximated per client as
         // `count × 1/(divergence + 1e-3)` — the sink's deferred
         // normalization divides by the folded weight sum, standing in for
         // the collect path's cohort-wide weight normalization.
@@ -251,29 +271,9 @@ pub fn train_calibre_encoder_observed(
                 fl.streaming.wave,
                 &mut sink,
                 |id| {
-                    let mut method =
-                        create_method(kind, fl.ssl.clone().with_seed(fl.seed ^ (id as u64) << 8));
-                    method.encoder_mut().load_flat(&global_flat);
-                    let mut opt =
-                        Sgd::new(SgdConfig::with_lr_momentum(fl.local_lr, fl.local_momentum));
-                    let mut r = rng::seeded(
-                        fl.seed
-                            ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            ^ (id as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9),
-                    );
-                    let data = fed.client(id);
-                    let update = calibre_local_update_detailed(
-                        method.as_mut(),
-                        data,
-                        fed.generator(),
-                        aug,
-                        fl.local_epochs,
-                        fl.batch_size,
-                        &round_config,
-                        &mut opt,
-                        &mut r,
-                    );
-                    let count = data.ssl_pool().len().max(1) as f32;
+                    let mut method = fresh_method(fl, kind, id);
+                    let (update, count) = local_update(id, method.as_mut());
+                    let count = count.max(1) as f32;
                     let weight = if config.divergence_aware_aggregation {
                         count / (update.divergence.max(0.0) + 1e-3)
                     } else {
@@ -320,35 +320,15 @@ pub fn train_calibre_encoder_observed(
             &selected,
             &ctx,
             |id| {
-                states[id].take().unwrap_or_else(|| {
-                    create_method(kind, fl.ssl.clone().with_seed(fl.seed ^ (id as u64) << 8))
-                })
+                states[id]
+                    .take()
+                    .unwrap_or_else(|| fresh_method(fl, kind, id))
             },
             |id, mut method: Box<dyn SslMethod>| {
-                method.encoder_mut().load_flat(&global_flat);
-                let mut opt = Sgd::new(SgdConfig::with_lr_momentum(fl.local_lr, fl.local_momentum));
-                let mut r = rng::seeded(
-                    fl.seed
-                        ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ (id as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9),
-                );
-                let data = fed.client(id);
-                let update = calibre_local_update_detailed(
-                    method.as_mut(),
-                    data,
-                    fed.generator(),
-                    aug,
-                    fl.local_epochs,
-                    fl.batch_size,
-                    &round_config,
-                    &mut opt,
-                    &mut r,
-                );
-                let flat = method.encoder().to_flat();
-                let count = data.ssl_pool().len();
+                let (update, count) = local_update(id, method.as_mut());
                 ClientOutcome {
+                    flat: method.encoder().to_flat(),
                     state: method,
-                    flat,
                     count,
                     payload: update,
                 }
@@ -513,7 +493,7 @@ mod tests {
     fn forced_streaming_path_trains_deterministically() {
         let fed = tiny_fed();
         let mut cfg = tiny_cfg();
-        cfg.streaming.path = calibre_fl::RoundPath::Streaming;
+        cfg.streaming.threshold = 1;
         cfg.streaming.wave = 2;
         let aug = AugmentConfig::default();
         let ccfg = CalibreConfig::default();

@@ -139,3 +139,55 @@ fn killed_and_resumed_training_matches_the_uninterrupted_run() {
     assert_eq!(resumed.to_flat(), straight.to_flat());
     assert_eq!(resumed_losses, straight_losses);
 }
+
+/// Shared shape of the streaming-branch goldens: the calibre golden's
+/// config with `threshold: 1`, so every round (cohort 3) streams in waves
+/// of 2 through `RoundScheduler::run_round_streaming_with`.
+fn streaming_cfg() -> FlConfig {
+    let mut cfg = FlConfig::for_input(64);
+    cfg.rounds = 2;
+    cfg.clients_per_round = 3;
+    cfg.local_epochs = 1;
+    cfg.batch_size = 16;
+    cfg.streaming.threshold = 1;
+    cfg.streaming.wave = 2;
+    cfg
+}
+
+#[test]
+fn streaming_calibre_training_checksum_is_stable() {
+    let (encoder, losses, _) = train_calibre_encoder(
+        &tiny_fed(),
+        &streaming_cfg(),
+        SslKind::SimClr,
+        &CalibreConfig::default(),
+        &AugmentConfig::default(),
+    );
+    let checksum = flat_checksum(&encoder.to_flat());
+    eprintln!("streaming calibre checksum: {checksum:#018x} losses {losses:?}");
+    assert_eq!(
+        checksum, GOLDEN_STREAMING_CALIBRE,
+        "streaming Calibre training drifted"
+    );
+}
+
+#[test]
+fn streaming_pfl_ssl_training_checksum_is_stable() {
+    use calibre_fl::pfl_ssl::train_pfl_ssl_encoder;
+
+    let (encoder, losses) = train_pfl_ssl_encoder(
+        &tiny_fed(),
+        &streaming_cfg(),
+        SslKind::SimClr,
+        &AugmentConfig::default(),
+    );
+    let checksum = flat_checksum(&encoder.to_flat());
+    eprintln!("streaming pfl-ssl checksum: {checksum:#018x} losses {losses:?}");
+    assert_eq!(
+        checksum, GOLDEN_STREAMING_PFL_SSL,
+        "streaming pFL-SSL training drifted"
+    );
+}
+
+const GOLDEN_STREAMING_CALIBRE: u64 = 0xa6a0_1849_be7f_29f1;
+const GOLDEN_STREAMING_PFL_SSL: u64 = 0x085b_f3d3_e93e_773a;

@@ -102,8 +102,9 @@ where
     PersonalizationOutcome::from_accuracies(accuracies)
 }
 
-/// Derives a per-client, per-round RNG seed from the run seed.
-pub(crate) fn client_round_seed(run_seed: u64, round: usize, client: usize) -> u64 {
+/// Derives a per-client, per-round RNG seed from the run seed — the seed
+/// of every client's local update in every training loop.
+pub fn client_round_seed(run_seed: u64, round: usize, client: usize) -> u64 {
     run_seed
         ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (client as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)

@@ -15,8 +15,19 @@
 //! have similar sample budgets by construction; if a future workload breaks
 //! that assumption (say, clients with order-of-magnitude different data
 //! sizes), switch to work stealing or size-sorted round-robin assignment
-//! before tuning anything else. The [`parallel_map_owned_timed`] variant
-//! exposes exactly the per-item wall-clock needed to diagnose such skew.
+//! before tuning anything else. [`parallel_map_resilient`] reports exactly
+//! the per-item wall-clock needed to diagnose such skew.
+//!
+//! # One engine
+//!
+//! All three public maps are thin wrappers over one private engine: chunk
+//! the items, spawn one scoped thread per chunk, fill the result slots, and
+//! join. Each item runs under its own `client` span, on whichever thread
+//! ran it. While the calling thread spawns the workers and blocks on the
+//! join it sits in a `wait_workers` span, so the caller's own span
+//! (`round`, `personalize`) is not charged for time the workers spent; the
+//! sequential fast path (one worker, or at most one item) never waits and
+//! opens no such span.
 //!
 //! # Workspaces are per worker
 //!
@@ -53,35 +64,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = worker_count(items.len());
-    if threads <= 1 || items.len() == 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let chunk_size = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (item_chunk, result_chunk) in
-            items.chunks(chunk_size).zip(results.chunks_mut(chunk_size))
-        {
-            let f = &f;
-            scope.spawn(move || {
-                for (item, slot) in item_chunk.iter().zip(result_chunk.iter_mut()) {
-                    let _span = calibre_telemetry::span("client");
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        // analyze:allow(no-expect) -- the scoped threads fill every slot
-        // before `scope` returns; an empty slot is impossible.
-        .map(|r| r.expect("every slot filled by its chunk thread"))
-        .collect()
+    map_chunked(items.iter().collect(), f)
 }
 
 /// Like [`parallel_map`], but consumes the items — used when each client's
@@ -93,65 +76,7 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_owned_timed(items, f)
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
-}
-
-/// Like [`parallel_map_owned`], but additionally reports each item's
-/// wall-clock execution time, measured *inside* its worker thread.
-///
-/// This is the round-telemetry hook: per-client timings taken outside the
-/// parallel section would measure the whole round, not the client, so the
-/// clock must run where the work runs. Results stay in input order.
-pub fn parallel_map_owned_timed<T, R, F>(items: Vec<T>, f: F) -> Vec<(R, Duration)>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    // The span wraps the same region the per-item clock measures, from
-    // inside the worker thread — so parallel clients land on distinct tids.
-    let timed = |f: &F, item: T| {
-        let _span = calibre_telemetry::span("client");
-        let start = Instant::now(); // analyze:allow(wallclock) -- telemetry only
-        let out = f(item);
-        (out, start.elapsed())
-    };
-    let threads = worker_count(items.len());
-    if threads <= 1 || items.len() == 1 {
-        return items.into_iter().map(|item| timed(&f, item)).collect();
-    }
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut results: Vec<Option<(R, Duration)>> = (0..slots.len()).map(|_| None).collect();
-    let chunk_size = slots.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in slots
-            .chunks_mut(chunk_size)
-            .zip(results.chunks_mut(chunk_size))
-        {
-            let f = &f;
-            let timed = &timed;
-            scope.spawn(move || {
-                for (slot, out) in in_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                    // analyze:allow(no-expect) -- slots are populated just
-                    // before the scope spawns and taken exactly once.
-                    let item = slot.take().expect("slot filled before scope");
-                    *out = Some(timed(f, item));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        // analyze:allow(no-expect) -- the scoped threads fill every slot
-        // before `scope` returns; an empty slot is impossible.
-        .map(|r| r.expect("every slot filled by its chunk thread"))
-        .collect()
+    map_chunked(items, f)
 }
 
 /// A panic caught from one client's worker closure.
@@ -183,7 +108,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Like [`parallel_map_owned_timed`], but a panic in one item's closure is
+/// Like [`parallel_map_owned`], but a panic in one item's closure is
 /// caught (`catch_unwind` around the worker body) and surfaces as an `Err`
 /// in that item's slot instead of aborting the whole round.
 ///
@@ -217,15 +142,11 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let guarded = |f: &F, item: T| {
-        let _span = calibre_telemetry::span("client");
+    // AssertUnwindSafe: the closure owns `item` (moved in, lost on panic)
+    // and the shared captures are read-only (`Fn` + `Sync`), so no
+    // observable state can be left torn by an unwind.
+    map_chunked(items, |item| {
         let start = Instant::now(); // analyze:allow(wallclock) -- telemetry only
-                                    // AssertUnwindSafe: the closure owns `item` (moved in, lost on
-                                    // panic) and the shared captures are read-only (`Fn` + `Sync`), so
-                                    // no observable state can be left torn by an unwind.
         let out =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).map_err(|payload| {
                 ClientPanic {
@@ -233,32 +154,50 @@ where
                 }
             });
         (out, start.elapsed())
+    })
+}
+
+/// The worker map behind every public variant: contiguous chunks of
+/// `ceil(items / threads)` items, one scoped thread per chunk, one `client`
+/// span per item, results in input order.
+fn map_chunked<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
+    let run = |item: I| {
+        let _span = calibre_telemetry::span("client");
+        f(item)
     };
     let threads = worker_count(items.len());
-    if threads <= 1 || items.len() == 1 {
-        return items.into_iter().map(|item| guarded(&f, item)).collect();
+    if threads <= 1 {
+        return items.into_iter().map(run).collect();
     }
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut results: Vec<Option<(Result<R, ClientPanic>, Duration)>> =
-        (0..slots.len()).map(|_| None).collect();
-    let chunk_size = slots.len().div_ceil(threads);
+    let chunk_size = items.len().div_ceil(threads);
+    let mut slots: Vec<Option<I>> = items.into_iter().map(Some).collect();
+    let mut results: Vec<Option<R>> = (0..slots.len()).map(|_| None).collect();
+    // Spans the whole scope — spawning and the implicit join — so the
+    // caller's own span keeps only its own work, even when the workers take
+    // every core and the caller is descheduled right after spawning.
+    let wait = calibre_telemetry::span("wait_workers");
     std::thread::scope(|scope| {
         for (in_chunk, out_chunk) in slots
             .chunks_mut(chunk_size)
             .zip(results.chunks_mut(chunk_size))
         {
-            let f = &f;
-            let guarded = &guarded;
+            let run = &run;
             scope.spawn(move || {
                 for (slot, out) in in_chunk.iter_mut().zip(out_chunk.iter_mut()) {
                     // analyze:allow(no-expect) -- slots are populated just
                     // before the scope spawns and taken exactly once.
                     let item = slot.take().expect("slot filled before scope");
-                    *out = Some(guarded(f, item));
+                    *out = Some(run(item));
                 }
             });
         }
     });
+    drop(wait);
     results
         .into_iter()
         // analyze:allow(no-expect) -- the scoped threads fill every slot
@@ -319,23 +258,24 @@ mod tests {
     #[test]
     fn timed_variant_measures_each_item() {
         let items: Vec<u64> = vec![1, 5, 1, 5];
-        let out = parallel_map_owned_timed(items, |ms| {
+        let out = parallel_map_resilient(items, |ms| {
             std::thread::sleep(Duration::from_millis(ms));
             ms
         });
         assert_eq!(out.len(), 4);
         for (ms, elapsed) in &out {
+            let ms = ms.as_ref().unwrap();
             assert!(
                 *elapsed >= Duration::from_millis(*ms),
                 "item slept {ms}ms but measured {elapsed:?}"
             );
         }
-        assert_eq!(out[1].0, 5);
+        assert_eq!(out[1].0.as_ref().unwrap(), &5);
     }
 
     #[test]
-    fn timed_empty_input_gives_empty_output() {
-        let out: Vec<(usize, Duration)> = parallel_map_owned_timed(Vec::new(), |i: usize| i);
+    fn owned_empty_input_gives_empty_output() {
+        let out: Vec<usize> = parallel_map_owned(Vec::new(), |i: usize| i);
         assert!(out.is_empty());
     }
 

@@ -121,7 +121,7 @@ pub fn train_pfl_ssl_encoder_observed(
 }
 
 /// Creates a client's SSL method with its deterministic per-client seed.
-fn fresh_method(cfg: &FlConfig, kind: SslKind, id: usize) -> Box<dyn SslMethod> {
+pub fn fresh_method(cfg: &FlConfig, kind: SslKind, id: usize) -> Box<dyn SslMethod> {
     create_method(kind, cfg.ssl.clone().with_seed(cfg.seed ^ (id as u64) << 8))
 }
 
@@ -217,10 +217,32 @@ pub fn train_pfl_ssl_encoder_resumable(
         round_span.add_items(selected.len() as u64);
         let global_flat = global_encoder.to_flat();
 
-        // Above the streaming threshold (or when forced via
-        // `--round-path streaming`) the round folds wave by wave into a
-        // constant-memory sink. Per-client SSL state is rebuilt fresh each
-        // round on this path — at streaming cohort sizes caching every
+        // One client's local update from the round's global encoder:
+        // returns the final local loss and the client's SSL pool size.
+        let local_update = |id: usize, method: &mut dyn SslMethod| {
+            method.encoder_mut().load_flat(&global_flat);
+            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
+                cfg.local_lr,
+                cfg.local_momentum,
+            ));
+            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+            let data = fed.client(id);
+            let loss = ssl_local_update(
+                method,
+                data,
+                fed.generator(),
+                aug,
+                cfg.local_epochs,
+                cfg.batch_size,
+                &mut opt,
+                &mut r,
+            );
+            (loss, data.ssl_pool().len())
+        };
+
+        // At or above the streaming threshold the round folds wave by wave
+        // into a constant-memory sink. Per-client SSL state is rebuilt fresh
+        // each round on this path — at streaming cohort sizes caching every
         // client's projector is exactly the memory blow-up being avoided.
         if cfg.streaming.use_streaming(selected.len()) {
             recorder.round_start(round, &selected);
@@ -232,29 +254,13 @@ pub fn train_pfl_ssl_encoder_resumable(
                 &mut sink,
                 |id| {
                     let mut method = fresh_method(cfg, kind, id);
-                    method.encoder_mut().load_flat(&global_flat);
-                    let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                        cfg.local_lr,
-                        cfg.local_momentum,
-                    ));
-                    let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
-                    let data = fed.client(id);
-                    let loss = ssl_local_update(
-                        method.as_mut(),
-                        data,
-                        fed.generator(),
-                        aug,
-                        cfg.local_epochs,
-                        cfg.batch_size,
-                        &mut opt,
-                        &mut r,
-                    );
+                    let (loss, count) = local_update(id, method.as_mut());
                     StreamUpdate {
                         update: method.encoder().to_flat(),
                         // Raw sample counts: the deferred-normalization sink
                         // divides by the folded weight sum, matching the
                         // collect path's `sample_count_weights` transform.
-                        weight: data.ssl_pool().len().max(1) as f32,
+                        weight: count.max(1) as f32,
                         loss,
                         divergence: 0.0,
                     }
@@ -306,28 +312,10 @@ pub fn train_pfl_ssl_encoder_resumable(
                     .unwrap_or_else(|| fresh_method(cfg, kind, id))
             },
             |id, mut method: Box<dyn SslMethod>| {
-                method.encoder_mut().load_flat(&global_flat);
-                let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                    cfg.local_lr,
-                    cfg.local_momentum,
-                ));
-                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
-                let data = fed.client(id);
-                let loss = ssl_local_update(
-                    method.as_mut(),
-                    data,
-                    fed.generator(),
-                    aug,
-                    cfg.local_epochs,
-                    cfg.batch_size,
-                    &mut opt,
-                    &mut r,
-                );
-                let flat = method.encoder().to_flat();
-                let count = data.ssl_pool().len();
+                let (loss, count) = local_update(id, method.as_mut());
                 ClientOutcome {
+                    flat: method.encoder().to_flat(),
                     state: method,
-                    flat,
                     count,
                     payload: loss,
                 }
@@ -514,7 +502,7 @@ mod tests {
     fn forced_streaming_path_trains_deterministically() {
         let fed = tiny_fed();
         let mut cfg = tiny_cfg();
-        cfg.streaming.path = crate::config::RoundPath::Streaming;
+        cfg.streaming.threshold = 1;
         cfg.streaming.wave = 2;
         let aug = AugmentConfig::default();
         let (a, losses_a) = train_pfl_ssl_encoder(&fed, &cfg, SslKind::SimClr, &aug);
@@ -528,7 +516,7 @@ mod tests {
         // encoders — without being bit-coupled.
         let collect = FlConfig {
             streaming: crate::config::StreamingConfig {
-                path: crate::config::RoundPath::Collect,
+                threshold: usize::MAX,
                 ..cfg.streaming
             },
             ..cfg

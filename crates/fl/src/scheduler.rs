@@ -17,6 +17,12 @@
 //!   [`crate::aggregate::HierarchicalSink`]) no matter how many clients
 //!   participate. See `DESIGN.md` §11 for the scaling model.
 //!
+//! The streaming path has one wave-fold loop. In process, its waves are
+//! delivered by an [`InProcessTransport`];
+//! [`RoundScheduler::run_round_transport`] runs the same loop over any
+//! [`Transport`], including remote clients. The loop is generic over the
+//! delivery error, so the in-process entries have no error branch at all.
+//!
 //! # Determinism
 //!
 //! Both paths are replay-identical: selection depends only on
@@ -31,13 +37,13 @@ use crate::aggregate::UpdateSink;
 use crate::chaos::{ClientFault, FaultInjector, FaultPlan};
 use crate::comm::BYTES_PER_PARAM;
 use crate::config::FlConfig;
-use crate::parallel::parallel_map;
 use crate::resilient::{
     run_round_resilient, AcceptedClient, ClientOutcome, ResilientRound, RoundPolicy,
 };
 use crate::sampler::Sampler;
-use crate::transport::{StreamUpdate, Transport, TransportError, WaveSlot};
+use crate::transport::{InProcessTransport, StreamUpdate, Transport, TransportError, WaveSlot};
 use calibre_telemetry::{metrics, ClientLosses, Recorder};
+use std::convert::Infallible;
 
 /// How a scheduler picks each round's cohort.
 #[derive(Debug, Clone)]
@@ -670,6 +676,10 @@ impl RoundScheduler {
     /// average the accepted clients' reports. This is the entry the
     /// training loops use when they stream above the cohort threshold
     /// ([`FlConfig::streaming`]).
+    ///
+    /// Waves are delivered by an [`InProcessTransport`] — the same worker
+    /// code [`RoundScheduler::run_round_transport`] drives in process — and
+    /// folded by the loop both entries share.
     pub fn run_round_streaming_with<W>(
         &self,
         round: usize,
@@ -682,46 +692,19 @@ impl RoundScheduler {
     where
         W: Fn(usize) -> StreamUpdate + Sync,
     {
-        let wave = wave.max(1);
-        let _round_timer =
-            metrics::start_timer("calibre_round_duration_ms", &[("path", "streaming")]);
-        self.record_attacks(round, selected, recorder);
-        let mut out = self.empty_round(selected.len());
-
-        // Churn is decided up front on the scheduler thread, per
-        // (round, id, attempt 0) — identical on replay.
-        let survivors = self.survivors(round, selected, &mut out);
-
-        // Fold-or-hold: buffer until the quorum is certain, then stream.
-        let mut gate = FoldGate::new(self.policy.min_quorum);
-        let mut watch = DetectionBuffer::new(self.detect);
-        for chunk in survivors.chunks(wave) {
-            let results = parallel_map(chunk, |&(id, _fault)| work(id));
-            let wave_bytes: usize = results
-                .iter()
-                .map(|r| r.update.len() * std::mem::size_of::<f32>())
-                .sum();
-            for ((id, fault), reply) in chunk.iter().copied().zip(results) {
-                self.screen_and_fold(
-                    round, id, fault, reply, &mut gate, sink, &mut watch, &mut out,
-                );
-            }
-            out.peak_state_bytes = out
-                .peak_state_bytes
-                .max(sink.state_bytes() + gate.held_bytes() + watch.bytes() + wave_bytes);
-        }
-
-        let sealed = self.seal_round(round, out, gate, sink, recorder, "streaming");
-        watch.observe(self, round, recorder);
-        sealed
+        let workers = InProcessTransport::new(|_round, client, _global: &[f32]| work(client));
+        let deliver = |slots: &[WaveSlot]| Ok::<_, Infallible>(workers.deliver(round, slots, &[]));
+        let Ok(streamed) =
+            self.fold_waves(round, selected, wave, sink, recorder, "streaming", deliver);
+        streamed
     }
 
     /// Executes one round through a [`Transport`]: the same selection,
     /// chaos, validation, quorum gating, and fold order as
     /// [`RoundScheduler::run_round_streaming_with`], but client work runs
     /// wherever the transport puts it — in-process workers
-    /// ([`crate::transport::InProcessTransport`]) or remote `calibre-client`
-    /// processes ([`crate::transport::SocketTransport`]).
+    /// ([`InProcessTransport`]) or remote `calibre-client` processes
+    /// ([`crate::transport::SocketTransport`]).
     ///
     /// # Determinism
     ///
@@ -746,13 +729,37 @@ impl RoundScheduler {
         transport: &mut dyn Transport,
         recorder: &dyn Recorder,
     ) -> Result<StreamedRound, TransportError> {
+        let deliver = |slots: &[WaveSlot]| transport.wave(round, slots, global);
+        self.fold_waves(round, selected, wave, sink, recorder, "transport", deliver)
+    }
+
+    /// The wave-fold loop behind both streaming entries: churn survivors
+    /// are cut into waves of at most `wave` clients, `deliver` runs each
+    /// wave and returns its replies in slot order, and every reply is
+    /// screened and folded before the next wave starts. `path` labels the
+    /// round's metrics. `E` is whatever `deliver` can fail with —
+    /// [`Infallible`] in process.
+    #[allow(clippy::too_many_arguments)] // internal plumbing shared by two entries
+    fn fold_waves<E>(
+        &self,
+        round: usize,
+        selected: &[usize],
+        wave: usize,
+        sink: &mut dyn UpdateSink,
+        recorder: &dyn Recorder,
+        path: &'static str,
+        mut deliver: impl FnMut(&[WaveSlot]) -> Result<Vec<Option<StreamUpdate>>, E>,
+    ) -> Result<StreamedRound, E> {
         let wave = wave.max(1);
-        let _round_timer =
-            metrics::start_timer("calibre_round_duration_ms", &[("path", "transport")]);
+        let _round_timer = metrics::start_timer("calibre_round_duration_ms", &[("path", path)]);
         self.record_attacks(round, selected, recorder);
         let mut out = self.empty_round(selected.len());
+
+        // Churn is decided up front on the scheduler thread, per
+        // (round, id, attempt 0) — identical on replay.
         let survivors = self.survivors(round, selected, &mut out);
 
+        // Fold-or-hold: buffer until the quorum is certain, then stream.
         let mut gate = FoldGate::new(self.policy.min_quorum);
         let mut watch = DetectionBuffer::new(self.detect);
         let mut wire_slot = 0usize;
@@ -766,7 +773,7 @@ impl RoundScheduler {
                 })
                 .collect();
             wire_slot += chunk.len();
-            let replies = transport.wave(round, &slots, global)?;
+            let replies = deliver(&slots)?;
             let wave_bytes: usize = replies
                 .iter()
                 .flatten()
@@ -788,7 +795,7 @@ impl RoundScheduler {
                 .max(sink.state_bytes() + gate.held_bytes() + watch.bytes() + wave_bytes);
         }
 
-        let sealed = self.seal_round(round, out, gate, sink, recorder, "transport");
+        let sealed = self.seal_round(round, out, gate, sink, recorder, path);
         watch.observe(self, round, recorder);
         Ok(sealed)
     }
@@ -831,7 +838,7 @@ impl RoundScheduler {
     /// Applies adversarial tampering (the client is compromised, so the
     /// attack lands first), then per-reply chaos corruption, validation,
     /// and norm clipping, and hands the survivor to the quorum gate.
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by two paths
+    #[allow(clippy::too_many_arguments)] // internal plumbing of the fold loop
     fn screen_and_fold(
         &self,
         round: usize,
@@ -868,8 +875,7 @@ impl RoundScheduler {
         gate.accept(sink, update, weight, loss, divergence);
     }
 
-    /// Quorum check, telemetry, and metrics shared by the streaming and
-    /// transport round paths.
+    /// Quorum check, telemetry, and metrics at the end of the fold loop.
     fn seal_round(
         &self,
         round: usize,

@@ -5,7 +5,10 @@
 //! **in-process** ([`InProcessTransport`], a thin wrapper over the worker
 //! pool) or **over a socket** ([`SocketTransport`], the server side of the
 //! `calibre-serve`/`calibre-client` pair speaking [`crate::proto`] frames
-//! over TCP or Unix-domain sockets).
+//! over TCP or Unix-domain sockets). The in-process streaming entry,
+//! [`crate::scheduler::RoundScheduler::run_round_streaming`], delivers its
+//! waves through [`InProcessTransport`] as well, so every streamed round
+//! runs the same wave-fold loop.
 //!
 //! # Determinism
 //!
@@ -42,8 +45,7 @@ use crate::parallel::parallel_map;
 use crate::proto::{Msg, WireError};
 
 /// One client's reply to a round assignment: the update vector plus the
-/// scalars round summaries need. The streaming and transport round paths
-/// both fold these.
+/// scalars round summaries need. The wave-fold loop folds these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamUpdate {
     /// The local update (a model delta), folded into the round's sink.
@@ -156,6 +158,17 @@ where
     pub fn new(work: F) -> Self {
         InProcessTransport { work }
     }
+
+    /// Runs one wave on the worker pool. In-process delivery cannot fail,
+    /// so every slot gets a reply; [`Transport::wave`] wraps this in `Ok`.
+    pub(crate) fn deliver(
+        &self,
+        round: usize,
+        slots: &[WaveSlot],
+        global: &[f32],
+    ) -> Vec<Option<StreamUpdate>> {
+        parallel_map(slots, |s| Some((self.work)(round, s.client, global)))
+    }
 }
 
 impl<F> std::fmt::Debug for InProcessTransport<F> {
@@ -174,8 +187,7 @@ where
         slots: &[WaveSlot],
         global: &[f32],
     ) -> Result<Vec<Option<StreamUpdate>>, TransportError> {
-        let work = &self.work;
-        Ok(parallel_map(slots, |s| Some(work(round, s.client, global))))
+        Ok(self.deliver(round, slots, global))
     }
 
     fn finish(&mut self, _rounds: usize, _checksum: u64) -> Result<(), TransportError> {

@@ -22,8 +22,8 @@
 //!   evaluation protocol.
 //!
 //! Every recorder is `Send + Sync`, so a single `&dyn Recorder` can be
-//! captured by the closure that `calibre_fl::parallel::parallel_map_owned`
-//! fans out across worker threads: per-client events are recorded from the
+//! captured by the closures that `calibre_fl::parallel`'s worker map fans
+//! out across worker threads: per-client events are recorded from the
 //! thread that ran the client.
 //!
 //! Below the round-level events sits a second, finer-grained layer added in
