@@ -5,13 +5,17 @@
 //! [`Backend`] carried by the graph's [`crate::pool::Workspace`]. Two
 //! implementations ship today:
 //!
-//! - [`Scalar`] — the reference backend. Its loops are *verbatim* the
-//!   original `Matrix` kernels, so training under `Scalar` is bit-identical
-//!   to the pre-backend code (pinned by the golden-checksum tests).
+//! - [`Scalar`] — the reference backend. Each output element is computed
+//!   with the same f32 operations, in the same order, as the original
+//!   `Matrix` kernels, so training under `Scalar` is bit-identical to the
+//!   pre-backend code (pinned by the golden-checksum tests). The loops
+//!   themselves may differ: `matmul_nt` runs register tiles of independent
+//!   per-element accumulators instead of one dot product at a time.
 //! - [`Blocked`] — a cache-tiled backend that unrolls the reduction
-//!   dimension four-wide (and splits rows across threads for very large
-//!   products). It may reorder floating-point sums, so results agree with
-//!   `Scalar` to ~1e-4 relative, not bitwise.
+//!   dimension of `matmul` four-wide (and splits rows across threads for
+//!   very large products). It may reorder floating-point sums, so results
+//!   agree with `Scalar` to ~1e-4 relative, not bitwise. Its `matmul_nt` is
+//!   the shared tiled kernel.
 //!
 //! A process-global default (used by `Graph::new`) starts as `Scalar` and
 //! can be switched once at startup — the bench binaries expose this as
@@ -93,8 +97,9 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Reference backend: loop-for-loop identical to the original `Matrix`
-/// kernels, and therefore bit-identical to pre-backend training.
+/// Reference backend: every element gets the same f32 operations in the same
+/// order as the original `Matrix` kernels, and therefore training is
+/// bit-identical to pre-backend training.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Scalar;
 
@@ -123,17 +128,7 @@ impl Backend for Scalar {
     }
 
     fn matmul_nt(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        for i in 0..a.rows() {
-            let a_row = a.row(i);
-            for j in 0..b.rows() {
-                let b_row = b.row(j);
-                let mut acc = 0.0;
-                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                    acc += x * y;
-                }
-                out.set(i, j, acc);
-            }
-        }
+        tiled_matmul_nt(a, b, out);
     }
 
     fn matmul_tn(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
@@ -156,18 +151,91 @@ impl Backend for Scalar {
     }
 }
 
+/// Output rows per register tile of [`tiled_matmul_nt`].
+const NT_TILE_ROWS: usize = 4;
+/// Output columns per register tile of [`tiled_matmul_nt`].
+const NT_TILE_COLS: usize = 8;
+
+/// One reference dot product: `acc = 0; acc += x·y` in increasing `k`.
+fn dot_in_order(x: &[f32], y: &[f32]) -> f32 {
+    let mut acc = 0.0;
+    for (&xv, &yv) in x.iter().zip(y.iter()) {
+        acc += xv * yv;
+    }
+    acc
+}
+
+/// `out = a · bᵀ`, register-tiled and bit-identical to
+/// `Matrix::matmul_transpose`.
+///
+/// The rows of `b` that full tiles read are copied once into a transposed
+/// `k × cols` panel so the eight columns of a tile are contiguous. Each tile
+/// then holds 4 × 8 independent accumulators in fixed-width arrays the
+/// compiler keeps in vector registers. Every output element still starts at
+/// `0.0` and adds `a[i][k] · b[j][k]` (a separate multiply and add, no zero
+/// skip) in increasing `k`, so it sees exactly the f32 operations of the
+/// one-dot-per-element reference; only the interleaving across elements
+/// changes. Ragged edges run the reference dot directly.
+fn tiled_matmul_nt(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, inner, nb) = (a.rows(), a.cols(), b.rows());
+    let full_rows = m - m % NT_TILE_ROWS;
+    let full_cols = if full_rows == 0 {
+        0
+    } else {
+        nb - nb % NT_TILE_COLS
+    };
+    let mut panel = vec![0.0f32; inner * full_cols];
+    for j in 0..full_cols {
+        for (k, &v) in b.row(j)[..inner].iter().enumerate() {
+            panel[k * full_cols + j] = v;
+        }
+    }
+    for i in (0..full_rows).step_by(NT_TILE_ROWS) {
+        let a_rows: [&[f32]; NT_TILE_ROWS] = std::array::from_fn(|r| &a.row(i + r)[..inner]);
+        for j in (0..full_cols).step_by(NT_TILE_COLS) {
+            let mut acc = [[0.0f32; NT_TILE_COLS]; NT_TILE_ROWS];
+            for k in 0..inner {
+                let mut bv = [0.0f32; NT_TILE_COLS];
+                let at = k * full_cols + j;
+                bv.copy_from_slice(&panel[at..at + NT_TILE_COLS]);
+                for (acc_row, a_row) in acc.iter_mut().zip(a_rows.iter()) {
+                    let av = a_row[k];
+                    for (o, &bj) in acc_row.iter_mut().zip(bv.iter()) {
+                        *o += av * bj;
+                    }
+                }
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                out.row_mut(i + r)[j..j + NT_TILE_COLS].copy_from_slice(acc_row);
+            }
+        }
+        for (r, a_row) in a_rows.iter().enumerate() {
+            for j in full_cols..nb {
+                out.set(i + r, j, dot_in_order(a_row, b.row(j)));
+            }
+        }
+    }
+    for i in full_rows..m {
+        for j in 0..nb {
+            out.set(i, j, dot_in_order(a.row(i), b.row(j)));
+        }
+    }
+}
+
 /// Products with at least this many multiply-adds split their rows across
 /// threads. High enough that the per-step matmuls of the smoke-scale
 /// federated runs (which already parallelize across clients) never pay
 /// thread-spawn overhead.
 const PAR_MIN_FLOPS: usize = 1 << 22;
 
-/// Cache-tiled backend: the reduction dimension is processed four-wide so
-/// each pass over the output row fuses four axpys (4× less traffic over
-/// `out`, more ILP), and very large products split rows across threads.
+/// Cache-tiled backend: the reduction dimension of `matmul` is processed
+/// four-wide so each pass over the output row fuses four axpys (4× less
+/// traffic over `out`, more ILP), and very large products split rows across
+/// threads. `matmul_nt` shares [`Scalar`]'s register-tiled kernel.
 ///
-/// Summation order differs from [`Scalar`] (four partial products are added
-/// before accumulating), so results match to ~1e-4, not bitwise.
+/// Summation order of `matmul` differs from [`Scalar`] (four partial
+/// products are added before accumulating), so results match to ~1e-4, not
+/// bitwise.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Blocked;
 
@@ -295,43 +363,9 @@ impl Backend for Blocked {
     }
 
     fn matmul_nt(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        // Four output columns at a time: the four dot products share each
-        // `a` load and run as independent accumulation chains, so the FMA
-        // latency of a single sequential dot no longer bounds throughput.
-        let inner = a.cols();
-        let nb = b.rows();
-        for i in 0..a.rows() {
-            let a_row = &a.row(i)[..inner];
-            let out_row = out.row_mut(i);
-            let mut j = 0;
-            while j + 4 <= nb {
-                let b0 = &b.row(j)[..inner];
-                let b1 = &b.row(j + 1)[..inner];
-                let b2 = &b.row(j + 2)[..inner];
-                let b3 = &b.row(j + 3)[..inner];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0, 0.0, 0.0);
-                for (k, &av) in a_row.iter().enumerate() {
-                    s0 += av * b0[k];
-                    s1 += av * b1[k];
-                    s2 += av * b2[k];
-                    s3 += av * b3[k];
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                j += 4;
-            }
-            while j < nb {
-                let b_row = b.row(j);
-                let mut acc = 0.0;
-                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                    acc += x * y;
-                }
-                out_row[j] = acc;
-                j += 1;
-            }
-        }
+        // The register-tiled kernel is bit-exact and faster at the training
+        // shapes than a reordered-sum variant, so both backends share it.
+        tiled_matmul_nt(a, b, out);
     }
 
     fn matmul_tn(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
@@ -419,12 +453,19 @@ mod tests {
 
     #[test]
     fn scalar_nt_matches_matmul_transpose_bitwise() {
+        // 6×4 is all ragged edge; 5×9 with k = 1 is one tile plus a ragged
+        // row and column; 33×64 has eight full row tiles, eight full column
+        // tiles and one ragged row.
         let mut r = rng::seeded(7);
-        let a = rng::normal_matrix(&mut r, 6, 10, 1.0);
-        let b = rng::normal_matrix(&mut r, 4, 10, 1.0);
-        let mut out = Matrix::zeros(6, 4);
-        Scalar.matmul_nt(&a, &b, &mut out);
-        assert_eq!(out, a.matmul_transpose(&b));
+        for &(m, k, nb) in &[(6usize, 10usize, 4usize), (5, 1, 9), (33, 96, 64)] {
+            let a = rng::normal_matrix(&mut r, m, k, 1.0);
+            let b = rng::normal_matrix(&mut r, nb, k, 1.0);
+            let mut out = Matrix::zeros(m, nb);
+            Scalar.matmul_nt(&a, &b, &mut out);
+            let want = a.matmul_transpose(&b);
+            let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want), "{m}×{k} · ({nb}×{k})ᵀ");
+        }
     }
 
     #[test]

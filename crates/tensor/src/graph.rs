@@ -880,12 +880,19 @@ fn apply_backward(
         Op::Leaf | Op::Detach(_) => {}
         Op::MatMul(a, b) => {
             let (a, b) = (*a, *b);
-            let mut da = ws.alloc_uninit(grad.rows(), nodes[b.0].value.rows());
-            ws.backend().matmul_nt(grad, &nodes[b.0].value, &mut da);
-            let mut db = ws.alloc_zeros(nodes[a.0].value.cols(), grad.cols());
-            ws.backend().matmul_tn(&nodes[a.0].value, grad, &mut db);
-            accumulate(nodes, grads, ws, a, da);
-            accumulate(nodes, grads, ws, b, db);
+            let (node_a, node_b) = (&nodes[a.0], &nodes[b.0]);
+            // `accumulate` would discard the gradient of an input that does
+            // not require one (the constant data batch), so skip computing it.
+            if node_a.requires_grad {
+                let mut da = ws.alloc_uninit(grad.rows(), node_b.value.rows());
+                ws.backend().matmul_nt(grad, &node_b.value, &mut da);
+                accumulate(nodes, grads, ws, a, da);
+            }
+            if node_b.requires_grad {
+                let mut db = ws.alloc_zeros(node_a.value.cols(), grad.cols());
+                ws.backend().matmul_tn(&node_a.value, grad, &mut db);
+                accumulate(nodes, grads, ws, b, db);
+            }
         }
         Op::Add(a, b) => {
             let (a, b) = (*a, *b);

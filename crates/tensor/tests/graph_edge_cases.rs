@@ -1,7 +1,8 @@
 //! Edge-case tests for the autograd tape: shape-mismatch panics, degenerate
 //! inputs, and ops whose unit coverage in the module tests is indirect.
 
-use calibre_tensor::{Graph, Matrix};
+use calibre_tensor::nn::{gradients, Activation, Binding, Mlp};
+use calibre_tensor::{rng, Graph, Matrix};
 
 #[test]
 #[should_panic(expected = "matmul shape mismatch")]
@@ -169,4 +170,47 @@ fn backward_through_deep_chain_stays_finite() {
     g.backward(loss);
     let grad = g.grad(x).unwrap();
     assert!(grad.all_finite());
+}
+
+#[test]
+fn constant_input_skips_its_gradient_without_changing_parameter_grads() {
+    // An MLP encoder feeding an NT-Xent-shaped loss, built once with the
+    // input batch as a constant and once as a leaf. Backward may skip the
+    // constant's gradient, but every parameter gradient must be bit-equal.
+    let mut r = rng::seeded(21);
+    let mlp = Mlp::new(&[12, 20, 8], Activation::Relu, &mut r);
+    let x = rng::normal_matrix(&mut r, 8, 12, 1.0);
+    let targets = [4, 5, 6, 7, 0, 1, 2, 3];
+    let run = |as_leaf: bool| {
+        let mut g = Graph::new();
+        let xn = if as_leaf {
+            g.leaf(x.clone())
+        } else {
+            g.constant(x.clone())
+        };
+        let mut binding = Binding::new();
+        let z = mlp.forward(&mut g, xn, &mut binding);
+        let h = g.row_l2_normalize(z);
+        let ht = g.transpose(h);
+        let sims = g.matmul(h, ht);
+        let scaled = g.scale(sims, 1.0 / 0.5);
+        let masked = g.mask_diagonal(scaled, -1e9);
+        let loss = g.cross_entropy(masked, &targets);
+        g.backward(loss);
+        let input_grad = g.grad(xn).cloned();
+        (input_grad, gradients(&g, &binding))
+    };
+    let (const_input_grad, const_grads) = run(false);
+    let (leaf_input_grad, leaf_grads) = run(true);
+    assert!(
+        const_input_grad.is_none(),
+        "a constant input has no gradient"
+    );
+    assert!(leaf_input_grad.is_some(), "a leaf input gets its gradient");
+    assert_eq!(const_grads.len(), leaf_grads.len());
+    for (c, l) in const_grads.iter().zip(&leaf_grads) {
+        assert_eq!(c.shape(), l.shape());
+        let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(c), bits(l));
+    }
 }

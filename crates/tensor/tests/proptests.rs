@@ -13,6 +13,25 @@ fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
+/// A seeded `rows × cols` matrix where about a quarter of the entries are
+/// zero and every third row keeps only its first entry: the mostly-zero rows
+/// of post-ReLU activations and their gradients.
+fn sparse_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    use rand::Rng;
+    let mut r = calibre_tensor::rng::seeded(seed);
+    let dense = calibre_tensor::rng::normal_matrix(&mut r, rows, cols, 1.0);
+    let mut out = Matrix::zeros(rows, cols);
+    for i in 0..rows {
+        for j in 0..cols {
+            let keep = r.gen_range(0u8..4) != 0 && (i % 3 != 0 || j == 0);
+            if keep {
+                out.set(i, j, dense.get(i, j));
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -193,6 +212,25 @@ proptest! {
         Blocked.matmul_tn(&a, &c, &mut b_tn);
         for (x, y) in s_tn.iter().zip(b_tn.iter()) {
             prop_assert!((x - y).abs() <= 1e-4 * (1.0 + x.abs()), "tn: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn scalar_matmul_nt_is_bitwise_matmul_transpose(
+        m in 1usize..14,
+        k in 1usize..12,
+        nb in 1usize..21,
+        seed in 0u64..10_000,
+    ) {
+        // Shapes straddle the 4-row × 8-column register tile (m and nb of 1,
+        // ragged remainders, k of 1); rows are often mostly zeros.
+        let a = sparse_matrix(m, k, seed);
+        let b = sparse_matrix(nb, k, seed + 1);
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        Scalar.matmul_nt(&a, &b, &mut out);
+        let want = a.matmul_transpose(&b);
+        for (x, y) in out.iter().zip(want.iter()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y);
         }
     }
 
