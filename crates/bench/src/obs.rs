@@ -162,9 +162,16 @@ impl ObsArgs {
     }
 
     /// Applies the resilience flags to a run's federated configuration:
-    /// `--chaos` replaces the (inactive by default) fault plan, and
-    /// `--min-quorum` / `--aggregator` override the round policy. Flags
-    /// that were not given leave `cfg` untouched.
+    /// `--chaos` and `--attack` replace the (inactive by default) fault and
+    /// attack plans, `--detect` arms quarantine, `--min-quorum` /
+    /// `--aggregator` override the round policy, and
+    /// `--streaming-threshold` moves the streaming cut-over. Flags that
+    /// were not given leave `cfg` untouched.
+    ///
+    /// Every federated method trains through the same round scheduler, so
+    /// these apply to the baselines, pFL-SSL and Calibre alike. The
+    /// baselines keep the collect path at any streaming threshold, and the
+    /// local-only Script-* methods have no rounds to apply them to.
     pub fn apply_fl(&self, cfg: &mut calibre_fl::FlConfig) {
         if let Some(plan) = &self.chaos {
             cfg.chaos = plan.clone();

@@ -6,12 +6,13 @@
 //! and takes mixture-gradient steps on `v`; the mixing weight `α` adapts by
 //! a closed-form gradient step, as in the original paper.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::baselines::{baseline_round, client_round_seed, BaselineResult};
 use crate::config::FlConfig;
 use crate::model::{supervised_step, ClassifierModel, TrainScope};
 use crate::parallel::parallel_map;
 use crate::personalize::PersonalizationOutcome;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::batch::batches;
 use calibre_data::FederatedDataset;
 use calibre_tensor::nn::{gradients, Binding, Module};
@@ -40,89 +41,78 @@ pub fn run_apfl(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
         .map(|id| ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed ^ 0xAF1 ^ id as u64))
         .collect();
     let mut alphas = vec![0.5f32; fed.num_clients()];
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
-        let inputs: Vec<(usize, ClassifierModel, f32)> = selected
-            .iter()
-            .map(|&id| (id, locals[id].clone(), alphas[id]))
-            .collect();
-        let updates = parallel_map(&inputs, |(id, local, alpha)| {
-            let data = fed.client(*id);
-            let labels = data.train_labels();
-            let mut w = global.clone();
-            let mut v = local.clone();
-            let mut alpha = *alpha;
-            let mut w_opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, *id));
-            let mut loss_sum = 0.0;
-            let mut steps = 0;
-            for _ in 0..cfg.local_epochs {
-                for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
-                    let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-                    let x = fed.generator().render_batch(samples.iter().copied());
-                    let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
-                    // Step the shared model (this is what the server sees).
-                    loss_sum += supervised_step(&mut w, &x, &y, &mut w_opt, TrainScope::Full);
-                    // Mixture gradient step on the personal model v:
-                    // ∂L(ᾱv + (1−ᾱ)w)/∂v = ᾱ · ∂L/∂mixed.
-                    let mut mixed = mix_models(&v, &w, alpha);
-                    let mut g = Graph::new();
-                    let xn = g.constant(x.clone());
-                    let mut binding = Binding::new();
-                    let feats = mixed.encoder_mut().forward(&mut g, xn, &mut binding);
-                    let logits = mixed.head().forward(&mut g, feats, &mut binding);
-                    let loss = g.cross_entropy(logits, &y);
-                    g.backward(loss);
-                    let grads = gradients(&g, &binding);
-                    for (p, gr) in v.parameters_mut().into_iter().zip(grads.iter()) {
-                        p.add_scaled(gr, -cfg.local_lr * alpha);
+    for round in 0..scheduler.rounds() {
+        let outcome = baseline_round(
+            &scheduler,
+            round,
+            &mut global,
+            &mut round_losses,
+            |id| (locals[id].clone(), alphas[id]),
+            |id, global, (mut v, mut alpha)| {
+                let data = fed.client(id);
+                let labels = data.train_labels();
+                let mut w = global.clone();
+                let mut w_opt = Sgd::new(SgdConfig::with_lr_momentum(
+                    cfg.local_lr,
+                    cfg.local_momentum,
+                ));
+                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+                let mut loss_sum = 0.0;
+                let mut steps = 0;
+                for _ in 0..cfg.local_epochs {
+                    for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
+                        let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
+                        let x = fed.generator().render_batch(samples.iter().copied());
+                        let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                        // Step the shared model (this is what the server sees).
+                        loss_sum += supervised_step(&mut w, &x, &y, &mut w_opt, TrainScope::Full);
+                        // Mixture gradient step on the personal model v:
+                        // ∂L(ᾱv + (1−ᾱ)w)/∂v = ᾱ · ∂L/∂mixed.
+                        let mut mixed = mix_models(&v, &w, alpha);
+                        let mut g = Graph::new();
+                        let xn = g.constant(x.clone());
+                        let mut binding = Binding::new();
+                        let feats = mixed.encoder_mut().forward(&mut g, xn, &mut binding);
+                        let logits = mixed.head().forward(&mut g, feats, &mut binding);
+                        let loss = g.cross_entropy(logits, &y);
+                        g.backward(loss);
+                        let grads = gradients(&g, &binding);
+                        for (p, gr) in v.parameters_mut().into_iter().zip(grads.iter()) {
+                            p.add_scaled(gr, -cfg.local_lr * alpha);
+                        }
+                        // Adaptive α: gradient of the mixture loss w.r.t. α is
+                        // ⟨∇L(mixed), v − w⟩.
+                        let flat_grads: Vec<f32> =
+                            grads.iter().flat_map(|m| m.as_slice().to_vec()).collect();
+                        let diff: Vec<f32> = v
+                            .to_flat()
+                            .iter()
+                            .zip(w.to_flat().iter())
+                            .map(|(&a, &b)| a - b)
+                            .collect();
+                        let alpha_grad: f32 = flat_grads
+                            .iter()
+                            .zip(diff.iter())
+                            .map(|(&g_, &d)| g_ * d)
+                            .sum();
+                        alpha = (alpha - cfg.local_lr * alpha_grad).clamp(0.0, 1.0);
+                        steps += 1;
                     }
-                    // Adaptive α: gradient of the mixture loss w.r.t. α is
-                    // ⟨∇L(mixed), v − w⟩.
-                    let flat_grads: Vec<f32> =
-                        grads.iter().flat_map(|m| m.as_slice().to_vec()).collect();
-                    let diff: Vec<f32> = v
-                        .to_flat()
-                        .iter()
-                        .zip(w.to_flat().iter())
-                        .map(|(&a, &b)| a - b)
-                        .collect();
-                    let alpha_grad: f32 = flat_grads
-                        .iter()
-                        .zip(diff.iter())
-                        .map(|(&g_, &d)| g_ * d)
-                        .sum();
-                    alpha = (alpha - cfg.local_lr * alpha_grad).clamp(0.0, 1.0);
-                    steps += 1;
                 }
-            }
-            (
-                w.to_flat(),
-                v,
-                alpha,
-                data.train_len(),
-                loss_sum / steps.max(1) as f32,
-            )
-        });
-
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, _, c, _)| *c).collect();
-        let mean_loss =
-            updates.iter().map(|(_, _, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        for ((id, _, _), (_, v, alpha, _, _)) in inputs.iter().zip(updates) {
-            locals[*id] = v;
-            alphas[*id] = alpha;
+                ClientOutcome {
+                    flat: w.to_flat(),
+                    state: (v, alpha),
+                    count: data.train_len(),
+                    payload: loss_sum / steps.max(1) as f32,
+                }
+            },
+        );
+        for a in outcome.accepted {
+            (locals[a.id], alphas[a.id]) = a.state;
         }
-        round_losses.push(mean_loss);
     }
 
     // Personalization: the mixture model IS the personalized model.

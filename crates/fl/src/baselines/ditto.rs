@@ -5,12 +5,13 @@
 //! tethers it to the global solution. The personal model is the one
 //! evaluated — Ditto is the paper's dedicated fairness baseline (§V-A).
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::baselines::{baseline_round, client_round_seed, BaselineResult};
 use crate::config::FlConfig;
 use crate::model::{supervised_step, train_supervised, ClassifierModel, TrainScope};
 use crate::parallel::parallel_map;
 use crate::personalize::PersonalizationOutcome;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::batch::batches;
 use calibre_data::FederatedDataset;
 use calibre_tensor::nn::Module;
@@ -27,68 +28,60 @@ pub fn run_ditto(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
     let mut personals: Vec<ClassifierModel> = (0..fed.num_clients())
         .map(|id| ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed ^ 0xD1770 ^ id as u64))
         .collect();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
+    for round in 0..scheduler.rounds() {
         let global_flat = global.to_flat();
-        let inputs: Vec<(usize, ClassifierModel)> = selected
-            .iter()
-            .map(|&id| (id, personals[id].clone()))
-            .collect();
-        let updates = parallel_map(&inputs, |(id, personal)| {
-            let data = fed.client(*id);
-            let labels = data.train_labels();
-            let mut w = global.clone();
-            let mut v = personal.clone();
-            let mut w_opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut v_opt = Sgd::new(SgdConfig::with_lr(cfg.local_lr));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, *id));
-            let mut loss_sum = 0.0;
-            let mut steps = 0;
-            for _ in 0..cfg.local_epochs {
-                for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
-                    let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-                    let x = fed.generator().render_batch(samples.iter().copied());
-                    let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
-                    // Global-model step (what the server aggregates).
-                    loss_sum += supervised_step(&mut w, &x, &y, &mut w_opt, TrainScope::Full);
-                    // Personal-model step with the proximal pull toward the
-                    // round's global parameters.
-                    supervised_step(&mut v, &x, &y, &mut v_opt, TrainScope::Full);
-                    let v_flat = v.to_flat();
-                    let pulled: Vec<f32> = v_flat
-                        .iter()
-                        .zip(global_flat.iter())
-                        .map(|(&vv, &gg)| vv - cfg.local_lr * LAMBDA * (vv - gg))
-                        .collect();
-                    v.load_flat(&pulled);
-                    steps += 1;
+        let outcome = baseline_round(
+            &scheduler,
+            round,
+            &mut global,
+            &mut round_losses,
+            |id| personals[id].clone(),
+            |id, global, mut v| {
+                let data = fed.client(id);
+                let labels = data.train_labels();
+                let mut w = global.clone();
+                let mut w_opt = Sgd::new(SgdConfig::with_lr_momentum(
+                    cfg.local_lr,
+                    cfg.local_momentum,
+                ));
+                let mut v_opt = Sgd::new(SgdConfig::with_lr(cfg.local_lr));
+                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+                let mut loss_sum = 0.0;
+                let mut steps = 0;
+                for _ in 0..cfg.local_epochs {
+                    for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
+                        let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
+                        let x = fed.generator().render_batch(samples.iter().copied());
+                        let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                        // Global-model step (what the server aggregates).
+                        loss_sum += supervised_step(&mut w, &x, &y, &mut w_opt, TrainScope::Full);
+                        // Personal-model step with the proximal pull toward the
+                        // round's global parameters.
+                        supervised_step(&mut v, &x, &y, &mut v_opt, TrainScope::Full);
+                        let v_flat = v.to_flat();
+                        let pulled: Vec<f32> = v_flat
+                            .iter()
+                            .zip(global_flat.iter())
+                            .map(|(&vv, &gg)| vv - cfg.local_lr * LAMBDA * (vv - gg))
+                            .collect();
+                        v.load_flat(&pulled);
+                        steps += 1;
+                    }
                 }
-            }
-            (
-                w.to_flat(),
-                v,
-                data.train_len(),
-                loss_sum / steps.max(1) as f32,
-            )
-        });
-
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, c, _)| *c).collect();
-        let mean_loss =
-            updates.iter().map(|(_, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        for ((id, _), (_, v, _, _)) in inputs.iter().zip(updates) {
-            personals[*id] = v;
+                ClientOutcome {
+                    flat: w.to_flat(),
+                    state: v,
+                    count: data.train_len(),
+                    payload: loss_sum / steps.max(1) as f32,
+                }
+            },
+        );
+        for a in outcome.accepted {
+            personals[a.id] = a.state;
         }
-        round_losses.push(mean_loss);
     }
 
     // Evaluation: the personal models. Clients never selected during

@@ -4,102 +4,56 @@
 //! local models. The `-FT` variant (paper §V-A) additionally fine-tunes the
 //! head on each client's local data during personalization.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, evaluate_with_head_finetune, BaselineResult};
-use crate::compress::{quantize, top_k_sparsify};
+use crate::baselines::{baseline_round, client_round_seed, evaluate_global, BaselineResult};
 use crate::config::FlConfig;
 use crate::model::{train_supervised, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
-use crate::personalize::PersonalizationOutcome;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::FederatedDataset;
 use calibre_tensor::nn::Module;
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::rng;
 
-/// Lossy compression applied to client → server updates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Compression {
-    /// Ship full-precision updates (plain FedAvg).
-    None,
-    /// Keep only the fraction `keep` of largest-magnitude coordinates.
-    TopK {
-        /// Fraction of coordinates retained, in `(0, 1]`.
-        keep: f32,
-    },
-    /// Uniform quantization to `bits` bits per coordinate.
-    Quantize {
-        /// Bits per coordinate (1..=8).
-        bits: u8,
-    },
-}
-
-impl Compression {
-    /// Applies the compression round-trip a real deployment would see
-    /// (compress on the client, decompress on the server).
-    pub fn round_trip(&self, update: Vec<f32>) -> Vec<f32> {
-        match *self {
-            Compression::None => update,
-            Compression::TopK { keep } => {
-                assert!(keep > 0.0 && keep <= 1.0, "keep fraction out of range");
-                let k = ((update.len() as f32 * keep).ceil() as usize).max(1);
-                top_k_sparsify(&update, k).to_dense()
-            }
-            Compression::Quantize { bits } => quantize(&update, bits).to_dense(),
-        }
-    }
-}
-
 /// Trains a global classifier with FedAvg and returns it together with the
 /// round-loss history.
 pub fn train_fedavg_global(fed: &FederatedDataset, cfg: &FlConfig) -> (ClassifierModel, Vec<f32>) {
-    train_fedavg_global_compressed(fed, cfg, Compression::None)
-}
-
-/// FedAvg with lossy update compression on the client → server path (the
-/// server's new global model is an average of *decompressed* updates).
-pub fn train_fedavg_global_compressed(
-    fed: &FederatedDataset,
-    cfg: &FlConfig,
-    compression: Compression,
-) -> (ClassifierModel, Vec<f32>) {
     let num_classes = fed.generator().num_classes();
     let mut global = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
-        let updates = parallel_map(selected, |&id| {
-            let mut local = global.clone();
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
-            let loss = train_supervised(
-                &mut local,
-                fed.client(id),
-                fed.generator(),
-                cfg.local_epochs,
-                cfg.batch_size,
-                &mut opt,
-                TrainScope::Full,
-                &mut r,
-            );
-            (
-                compression.round_trip(local.to_flat()),
-                fed.client(id).train_len(),
-                loss,
-            )
-        });
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, c, _)| *c).collect();
-        let mean_loss =
-            updates.iter().map(|(_, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        round_losses.push(mean_loss);
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
+    for round in 0..scheduler.rounds() {
+        baseline_round(
+            &scheduler,
+            round,
+            &mut global,
+            &mut round_losses,
+            |_| (),
+            |id, global, ()| {
+                let mut local = global.clone();
+                let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
+                    cfg.local_lr,
+                    cfg.local_momentum,
+                ));
+                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+                let loss = train_supervised(
+                    &mut local,
+                    fed.client(id),
+                    fed.generator(),
+                    cfg.local_epochs,
+                    cfg.batch_size,
+                    &mut opt,
+                    TrainScope::Full,
+                    &mut r,
+                );
+                ClientOutcome {
+                    state: (),
+                    flat: local.to_flat(),
+                    count: fed.client(id).train_len(),
+                    payload: loss,
+                }
+            },
+        );
     }
     (global, round_losses)
 }
@@ -110,22 +64,8 @@ pub fn train_fedavg_global_compressed(
 /// model (plain FedAvg); with `finetune == true` each client fine-tunes the
 /// global head on its local data first (FedAvg-FT).
 pub fn run_fedavg(fed: &FederatedDataset, cfg: &FlConfig, finetune: bool) -> BaselineResult {
-    let num_classes = fed.generator().num_classes();
     let (global, round_losses) = train_fedavg_global(fed, cfg);
-
-    let seen = if finetune {
-        let head = global.head().clone();
-        evaluate_with_head_finetune(global.encoder(), fed, num_classes, &cfg.probe, |_| {
-            head.clone()
-        })
-    } else {
-        let ids: Vec<usize> = (0..fed.num_clients()).collect();
-        let accuracies = parallel_map(&ids, |&id| {
-            global.test_accuracy(fed.client(id), fed.generator())
-        });
-        PersonalizationOutcome::from_accuracies(accuracies)
-    };
-
+    let seen = evaluate_global(&global, fed, &cfg.probe, finetune);
     BaselineResult {
         name: if finetune { "FedAvg-FT" } else { "FedAvg" }.to_string(),
         seen,
@@ -138,45 +78,6 @@ pub fn run_fedavg(fed: &FederatedDataset, cfg: &FlConfig, finetune: bool) -> Bas
 mod tests {
     use super::*;
     use calibre_data::{NonIid, PartitionConfig, SynthVisionSpec};
-
-    #[test]
-    fn eight_bit_quantization_barely_moves_fedavg() {
-        let fed = tiny_fed();
-        let cfg = tiny_cfg();
-        let (exact, _) = train_fedavg_global(&fed, &cfg);
-        let (quantized, _) =
-            train_fedavg_global_compressed(&fed, &cfg, Compression::Quantize { bits: 8 });
-        let acc = |m: &ClassifierModel| -> f32 {
-            (0..fed.num_clients())
-                .map(|id| m.test_accuracy(fed.client(id), fed.generator()))
-                .sum::<f32>()
-                / fed.num_clients() as f32
-        };
-        let (a, b) = (acc(&exact), acc(&quantized));
-        assert!((a - b).abs() < 0.1, "8-bit {b} should track exact {a}");
-    }
-
-    #[test]
-    fn extreme_sparsification_degrades_the_global_model() {
-        let fed = tiny_fed();
-        let cfg = tiny_cfg();
-        let (exact, _) = train_fedavg_global(&fed, &cfg);
-        // Keep 1% of coordinates: the model ships almost nothing.
-        let (starved, _) =
-            train_fedavg_global_compressed(&fed, &cfg, Compression::TopK { keep: 0.01 });
-        let acc = |m: &ClassifierModel| -> f32 {
-            (0..fed.num_clients())
-                .map(|id| m.test_accuracy(fed.client(id), fed.generator()))
-                .sum::<f32>()
-                / fed.num_clients() as f32
-        };
-        assert!(
-            acc(&starved) < acc(&exact),
-            "1% top-k {} should underperform exact {}",
-            acc(&starved),
-            acc(&exact)
-        );
-    }
 
     fn tiny_fed() -> FederatedDataset {
         FederatedDataset::build(

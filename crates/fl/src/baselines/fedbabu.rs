@@ -6,11 +6,13 @@
 //! initialization. The paper (§II) notes FedBABU's two-stage structure is
 //! the closest supervised relative of Calibre's own pipeline.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, evaluate_with_head_finetune, BaselineResult};
+use crate::baselines::{
+    baseline_round, client_round_seed, evaluate_with_head_finetune, BaselineResult,
+};
 use crate::config::FlConfig;
 use crate::model::{train_supervised, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::FederatedDataset;
 use calibre_tensor::nn::Module;
 use calibre_tensor::optim::{Sgd, SgdConfig};
@@ -23,39 +25,43 @@ pub fn run_fedbabu(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
     let template = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
     let fixed_head = template.head().clone();
     let mut global_encoder = template.encoder().clone();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
-        let updates = parallel_map(selected, |&id| {
-            let mut model = template.clone();
-            model.encoder_mut().load_flat(&global_encoder.to_flat());
-            model.set_head(fixed_head.clone());
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
-            let loss = train_supervised(
-                &mut model,
-                fed.client(id),
-                fed.generator(),
-                cfg.local_epochs,
-                cfg.batch_size,
-                &mut opt,
-                TrainScope::EncoderOnly,
-                &mut r,
-            );
-            (model.encoder().to_flat(), fed.client(id).train_len(), loss)
-        });
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, c, _)| *c).collect();
-        global_encoder.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        round_losses
-            .push(updates.iter().map(|(_, _, l)| l).sum::<f32>() / updates.len().max(1) as f32);
+    for round in 0..scheduler.rounds() {
+        baseline_round(
+            &scheduler,
+            round,
+            &mut global_encoder,
+            &mut round_losses,
+            |_| (),
+            |id, global, ()| {
+                let mut model = template.clone();
+                model.encoder_mut().load_flat(&global.to_flat());
+                model.set_head(fixed_head.clone());
+                let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
+                    cfg.local_lr,
+                    cfg.local_momentum,
+                ));
+                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+                let loss = train_supervised(
+                    &mut model,
+                    fed.client(id),
+                    fed.generator(),
+                    cfg.local_epochs,
+                    cfg.batch_size,
+                    &mut opt,
+                    TrainScope::EncoderOnly,
+                    &mut r,
+                );
+                ClientOutcome {
+                    state: (),
+                    flat: model.encoder().to_flat(),
+                    count: fed.client(id).train_len(),
+                    payload: loss,
+                }
+            },
+        );
     }
 
     // Personalization: fine-tune the head from the shared initialization.

@@ -8,12 +8,12 @@
 //! clients far from the global model adopt more of it. This is the paper's
 //! closest related work (§II).
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::baselines::{baseline_round, client_round_seed, BaselineResult};
 use crate::config::FlConfig;
-use crate::parallel::parallel_map_owned;
 use crate::personalize::personalize_cohort;
 use crate::pfl_ssl::ssl_local_update;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::{AugmentConfig, FederatedDataset};
 use calibre_ssl::{Byol, SslMethod};
 use calibre_tensor::nn::Module;
@@ -40,66 +40,62 @@ pub fn run_fedema(fed: &FederatedDataset, cfg: &FlConfig, aug: &AugmentConfig) -
     let reference = Byol::new(cfg.ssl.clone());
     let mut global_encoder = reference.encoder().clone();
     let mut states: Vec<Option<Byol>> = (0..fed.num_clients()).map(|_| None).collect();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
+    for round in 0..scheduler.rounds() {
         let global_flat = global_encoder.to_flat();
-        let inputs: Vec<(usize, Byol)> = selected
-            .iter()
-            .map(|&id| {
-                let state = states[id].take().unwrap_or_else(|| {
+        let outcome = baseline_round(
+            &scheduler,
+            round,
+            &mut global_encoder,
+            &mut round_losses,
+            |id| {
+                states[id].take().unwrap_or_else(|| {
                     Byol::new(cfg.ssl.clone().with_seed(cfg.seed ^ (id as u64) << 8))
-                });
-                (id, state)
-            })
-            .collect();
-
-        let updates = parallel_map_owned(inputs, |(id, mut byol)| {
-            // Divergence-aware merge of the global encoder into the local
-            // online encoder (FedEMA's core mechanism).
-            let local_flat = byol.encoder().to_flat();
-            let lambda = lambda_for(&global_flat, &local_flat);
-            let merged: Vec<f32> = global_flat
-                .iter()
-                .zip(local_flat.iter())
-                .map(|(&g, &l)| lambda * g + (1.0 - lambda) * l)
-                .collect();
-            byol.encoder_mut().load_flat(&merged);
-
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
-            let data = fed.client(id);
-            let loss = ssl_local_update(
-                &mut byol,
-                data,
-                fed.generator(),
-                aug,
-                cfg.local_epochs,
-                cfg.batch_size,
-                &mut opt,
-                &mut r,
-            );
-            let flat = byol.encoder().to_flat();
-            let weight = data.ssl_pool().len();
-            (id, byol, flat, weight, loss)
-        });
-
-        let flats: Vec<&[f32]> = updates.iter().map(|(_, _, f, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, _, c, _)| *c).collect();
-        let mean_loss =
-            updates.iter().map(|(_, _, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        global_encoder.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        for (id, byol, _, _, _) in updates {
+                })
+            },
+            |id, _, mut byol| {
+                // Divergence-aware merge of the global encoder into the local
+                // online encoder (FedEMA's core mechanism).
+                let local_flat = byol.encoder().to_flat();
+                let lambda = lambda_for(&global_flat, &local_flat);
+                let merged: Vec<f32> = global_flat
+                    .iter()
+                    .zip(local_flat.iter())
+                    .map(|(&g, &l)| lambda * g + (1.0 - lambda) * l)
+                    .collect();
+                byol.encoder_mut().load_flat(&merged);
+                let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
+                    cfg.local_lr,
+                    cfg.local_momentum,
+                ));
+                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+                let data = fed.client(id);
+                let loss = ssl_local_update(
+                    &mut byol,
+                    data,
+                    fed.generator(),
+                    aug,
+                    cfg.local_epochs,
+                    cfg.batch_size,
+                    &mut opt,
+                    &mut r,
+                );
+                ClientOutcome {
+                    flat: byol.encoder().to_flat(),
+                    state: byol,
+                    count: data.ssl_pool().len(),
+                    payload: loss,
+                }
+            },
+        );
+        // A client whose update failed validation still keeps its BYOL
+        // state, as in pFL-SSL.
+        let accepted = outcome.accepted.into_iter().map(|a| (a.id, a.state));
+        for (id, byol) in accepted.chain(outcome.rejected_states) {
             states[id] = Some(byol);
         }
-        round_losses.push(mean_loss);
     }
 
     let num_classes = fed.generator().num_classes();

@@ -2,11 +2,13 @@
 //! personalization layers — the encoder is shared and aggregated, the head
 //! is a persistent personalization layer trained jointly but never shipped.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, evaluate_with_head_finetune, BaselineResult};
+use crate::baselines::{
+    baseline_round, client_round_seed, evaluate_with_head_finetune, BaselineResult,
+};
 use crate::config::FlConfig;
 use crate::model::{train_supervised, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::FederatedDataset;
 use calibre_tensor::nn::{Linear, Module};
 use calibre_tensor::optim::{Sgd, SgdConfig};
@@ -23,50 +25,47 @@ pub fn run_fedper(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
             Linear::new(cfg.ssl.repr_dim(), num_classes, &mut r)
         })
         .collect();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
-        let inputs: Vec<(usize, Linear)> =
-            selected.iter().map(|&id| (id, heads[id].clone())).collect();
-        let updates = parallel_map(&inputs, |(id, head)| {
-            let mut model = template.clone();
-            model.encoder_mut().load_flat(&global_encoder.to_flat());
-            model.set_head(head.clone());
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, *id));
-            // Joint training of encoder + personalization layer.
-            let loss = train_supervised(
-                &mut model,
-                fed.client(*id),
-                fed.generator(),
-                cfg.local_epochs,
-                cfg.batch_size,
-                &mut opt,
-                TrainScope::Full,
-                &mut r,
-            );
-            (
-                model.encoder().to_flat(),
-                model.head().clone(),
-                fed.client(*id).train_len(),
-                loss,
-            )
-        });
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, c, _)| *c).collect();
-        global_encoder.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        for ((id, _), (_, head, _, _)) in inputs.iter().zip(updates.iter()) {
-            heads[*id] = head.clone();
+    for round in 0..scheduler.rounds() {
+        let outcome = baseline_round(
+            &scheduler,
+            round,
+            &mut global_encoder,
+            &mut round_losses,
+            |id| heads[id].clone(),
+            |id, global, head| {
+                let mut model = template.clone();
+                model.encoder_mut().load_flat(&global.to_flat());
+                model.set_head(head);
+                let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
+                    cfg.local_lr,
+                    cfg.local_momentum,
+                ));
+                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+                // Joint training of encoder + personalization layer.
+                let loss = train_supervised(
+                    &mut model,
+                    fed.client(id),
+                    fed.generator(),
+                    cfg.local_epochs,
+                    cfg.batch_size,
+                    &mut opt,
+                    TrainScope::Full,
+                    &mut r,
+                );
+                ClientOutcome {
+                    flat: model.encoder().to_flat(),
+                    state: model.head().clone(),
+                    count: fed.client(id).train_len(),
+                    payload: loss,
+                }
+            },
+        );
+        for a in outcome.accepted {
+            heads[a.id] = a.state;
         }
-        round_losses
-            .push(updates.iter().map(|(_, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32);
     }
 
     let seen = evaluate_with_head_finetune(&global_encoder, fed, num_classes, &cfg.probe, |id| {

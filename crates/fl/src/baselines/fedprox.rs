@@ -6,11 +6,11 @@
 //! extension because it is the most common drift-control baseline and the
 //! plumbing (per-batch proximal pull) was already needed for Ditto.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, evaluate_with_head_finetune, BaselineResult};
+use crate::baselines::{baseline_round, client_round_seed, evaluate_global, BaselineResult};
 use crate::config::FlConfig;
 use crate::model::{supervised_step, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::batch::batches;
 use calibre_data::FederatedDataset;
 use calibre_tensor::nn::Module;
@@ -24,61 +24,58 @@ pub fn run_fedprox(fed: &FederatedDataset, cfg: &FlConfig, mu: f32) -> BaselineR
     assert!(mu >= 0.0, "proximal strength must be non-negative");
     let num_classes = fed.generator().num_classes();
     let mut global = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
+    for round in 0..scheduler.rounds() {
         let global_flat = global.to_flat();
-        let updates = parallel_map(selected, |&id| {
-            let data = fed.client(id);
-            let labels = data.train_labels();
-            let mut local = global.clone();
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
-            let mut loss_sum = 0.0;
-            let mut steps = 0;
-            for _ in 0..cfg.local_epochs {
-                for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
-                    let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-                    let x = fed.generator().render_batch(samples.iter().copied());
-                    let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
-                    loss_sum += supervised_step(&mut local, &x, &y, &mut opt, TrainScope::Full);
-                    // Proximal pull toward the round's global parameters.
-                    if mu > 0.0 {
-                        let local_flat = local.to_flat();
-                        let pulled: Vec<f32> = local_flat
-                            .iter()
-                            .zip(global_flat.iter())
-                            .map(|(&w, &g)| w - cfg.local_lr * mu * (w - g))
-                            .collect();
-                        local.load_flat(&pulled);
+        baseline_round(
+            &scheduler,
+            round,
+            &mut global,
+            &mut round_losses,
+            |_| (),
+            |id, global, ()| {
+                let data = fed.client(id);
+                let labels = data.train_labels();
+                let mut local = global.clone();
+                let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
+                    cfg.local_lr,
+                    cfg.local_momentum,
+                ));
+                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+                let mut loss_sum = 0.0;
+                let mut steps = 0;
+                for _ in 0..cfg.local_epochs {
+                    for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
+                        let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
+                        let x = fed.generator().render_batch(samples.iter().copied());
+                        let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                        loss_sum += supervised_step(&mut local, &x, &y, &mut opt, TrainScope::Full);
+                        // Proximal pull toward the round's global parameters.
+                        if mu > 0.0 {
+                            let local_flat = local.to_flat();
+                            let pulled: Vec<f32> = local_flat
+                                .iter()
+                                .zip(global_flat.iter())
+                                .map(|(&w, &g)| w - cfg.local_lr * mu * (w - g))
+                                .collect();
+                            local.load_flat(&pulled);
+                        }
+                        steps += 1;
                     }
-                    steps += 1;
                 }
-            }
-            (
-                local.to_flat(),
-                data.train_len(),
-                loss_sum / steps.max(1) as f32,
-            )
-        });
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, c, _)| *c).collect();
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        round_losses
-            .push(updates.iter().map(|(_, _, l)| l).sum::<f32>() / updates.len().max(1) as f32);
+                ClientOutcome {
+                    state: (),
+                    flat: local.to_flat(),
+                    count: data.train_len(),
+                    payload: loss_sum / steps.max(1) as f32,
+                }
+            },
+        );
     }
 
-    let head = global.head().clone();
-    let seen = evaluate_with_head_finetune(global.encoder(), fed, num_classes, &cfg.probe, |_| {
-        head.clone()
-    });
+    let seen = evaluate_global(&global, fed, &cfg.probe, true);
     BaselineResult {
         name: "FedProx-FT".to_string(),
         seen,

@@ -3,11 +3,13 @@
 //! shared encoder, then updates the encoder with the head frozen; only the
 //! encoder is aggregated.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, evaluate_with_head_finetune, BaselineResult};
+use crate::baselines::{
+    baseline_round, client_round_seed, evaluate_with_head_finetune, BaselineResult,
+};
 use crate::config::FlConfig;
 use crate::model::{train_supervised, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::FederatedDataset;
 use calibre_tensor::nn::{Linear, Module};
 use calibre_tensor::optim::{Sgd, SgdConfig};
@@ -25,64 +27,60 @@ pub fn run_fedrep(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
             Linear::new(cfg.ssl.repr_dim(), num_classes, &mut r)
         })
         .collect();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
-        let inputs: Vec<(usize, Linear)> =
-            selected.iter().map(|&id| (id, heads[id].clone())).collect();
-        let updates = parallel_map(&inputs, |(id, head)| {
-            let mut model = template.clone();
-            model.encoder_mut().load_flat(&global_encoder.to_flat());
-            model.set_head(head.clone());
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, *id));
-            // Phase 1: head only, frozen encoder (FedRep trains the head to
-            // convergence first — we give it the configured local epochs).
-            train_supervised(
-                &mut model,
-                fed.client(*id),
-                fed.generator(),
-                cfg.local_epochs,
-                cfg.batch_size,
-                &mut opt,
-                TrainScope::HeadOnly,
-                &mut r,
-            );
-            // Phase 2: one encoder epoch with the head frozen.
-            let loss = train_supervised(
-                &mut model,
-                fed.client(*id),
-                fed.generator(),
-                1,
-                cfg.batch_size,
-                &mut opt,
-                TrainScope::EncoderOnly,
-                &mut r,
-            );
-            (
-                model.encoder().to_flat(),
-                model.head().clone(),
-                fed.client(*id).train_len(),
-                loss,
-            )
-        });
-
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, c, _)| *c).collect();
-        global_encoder.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        for ((id, _), (_, head, _, _)) in inputs.iter().zip(updates.iter()) {
-            heads[*id] = head.clone();
+    for round in 0..scheduler.rounds() {
+        let outcome = baseline_round(
+            &scheduler,
+            round,
+            &mut global_encoder,
+            &mut round_losses,
+            |id| heads[id].clone(),
+            |id, global, head| {
+                let mut model = template.clone();
+                model.encoder_mut().load_flat(&global.to_flat());
+                model.set_head(head);
+                let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
+                    cfg.local_lr,
+                    cfg.local_momentum,
+                ));
+                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+                // Phase 1: head only, frozen encoder (FedRep trains the head
+                // to convergence first — we give it the configured local
+                // epochs).
+                train_supervised(
+                    &mut model,
+                    fed.client(id),
+                    fed.generator(),
+                    cfg.local_epochs,
+                    cfg.batch_size,
+                    &mut opt,
+                    TrainScope::HeadOnly,
+                    &mut r,
+                );
+                // Phase 2: one encoder epoch with the head frozen.
+                let loss = train_supervised(
+                    &mut model,
+                    fed.client(id),
+                    fed.generator(),
+                    1,
+                    cfg.batch_size,
+                    &mut opt,
+                    TrainScope::EncoderOnly,
+                    &mut r,
+                );
+                ClientOutcome {
+                    flat: model.encoder().to_flat(),
+                    state: model.head().clone(),
+                    count: fed.client(id).train_len(),
+                    payload: loss,
+                }
+            },
+        );
+        for a in outcome.accepted {
+            heads[a.id] = a.state;
         }
-        let mean_loss =
-            updates.iter().map(|(_, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        round_losses.push(mean_loss);
     }
 
     // Personalization: each seen client fine-tunes its own head on the

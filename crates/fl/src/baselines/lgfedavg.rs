@@ -2,14 +2,13 @@
 //! the mirror image of FedPer. Each client keeps a personal encoder; only
 //! the classifier head is aggregated.
 
-use crate::aggregate::{sample_count_weights, uniform_average, weighted_average};
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::aggregate::uniform_average;
+use crate::baselines::{baseline_round, client_round_seed, finetune_heads, BaselineResult};
 use crate::config::FlConfig;
 use crate::model::{train_supervised, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
-use crate::personalize::PersonalizationOutcome;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::FederatedDataset;
-use calibre_ssl::{probe_accuracy, train_linear_probe_from};
 use calibre_tensor::nn::{Mlp, Module};
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::rng;
@@ -34,77 +33,55 @@ pub fn run_lgfedavg(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
             )
         })
         .collect();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
-        let inputs: Vec<(usize, Mlp)> = selected
-            .iter()
-            .map(|&id| (id, encoders[id].clone()))
-            .collect();
-        let updates = parallel_map(&inputs, |(id, encoder)| {
-            let mut model = template.clone();
-            model.encoder_mut().load_flat(&encoder.to_flat());
-            model.set_head(global_head.clone());
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, *id));
-            let loss = train_supervised(
-                &mut model,
-                fed.client(*id),
-                fed.generator(),
-                cfg.local_epochs,
-                cfg.batch_size,
-                &mut opt,
-                TrainScope::Full,
-                &mut r,
-            );
-            (
-                model.encoder().to_flat(),
-                model.head().to_flat(),
-                fed.client(*id).train_len(),
-                loss,
-            )
-        });
-        // Only the head aggregates.
-        let head_flats: Vec<Vec<f32>> = updates.iter().map(|(_, h, _, _)| h.clone()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, c, _)| *c).collect();
-        global_head.load_flat(&weighted_average(
-            &head_flats,
-            &sample_count_weights(&counts),
-        ));
-        for ((id, _), (enc_flat, _, _, _)) in inputs.iter().zip(updates.iter()) {
-            encoders[*id].load_flat(enc_flat);
+    for round in 0..scheduler.rounds() {
+        // Only the head aggregates; each client's encoder stays local.
+        let outcome = baseline_round(
+            &scheduler,
+            round,
+            &mut global_head,
+            &mut round_losses,
+            |id| encoders[id].clone(),
+            |id, global, mut encoder| {
+                let mut model = template.clone();
+                model.encoder_mut().load_flat(&encoder.to_flat());
+                model.set_head(global.clone());
+                let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
+                    cfg.local_lr,
+                    cfg.local_momentum,
+                ));
+                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+                let loss = train_supervised(
+                    &mut model,
+                    fed.client(id),
+                    fed.generator(),
+                    cfg.local_epochs,
+                    cfg.batch_size,
+                    &mut opt,
+                    TrainScope::Full,
+                    &mut r,
+                );
+                encoder.load_flat(&model.encoder().to_flat());
+                ClientOutcome {
+                    state: encoder,
+                    flat: model.head().to_flat(),
+                    count: fed.client(id).train_len(),
+                    payload: loss,
+                }
+            },
+        );
+        for a in outcome.accepted {
+            encoders[a.id] = a.state;
         }
-        round_losses
-            .push(updates.iter().map(|(_, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32);
     }
 
     // Personalization: each client keeps its local encoder and fine-tunes
     // the global head on it.
-    let ids: Vec<usize> = (0..fed.num_clients()).collect();
-    let accuracies = parallel_map(&ids, |&id| {
-        let data = fed.client(id);
-        if data.train.is_empty() || data.test.is_empty() {
-            return 0.0;
-        }
-        let train_x = encoders[id].infer(&fed.generator().render_batch(data.train.iter()));
-        let test_x = encoders[id].infer(&fed.generator().render_batch(data.test.iter()));
-        let mut probe = cfg.probe;
-        probe.seed = cfg.probe.seed ^ (id as u64).wrapping_mul(0x9E37_79B9);
-        let head = train_linear_probe_from(
-            global_head.clone(),
-            &train_x,
-            &data.train_labels(),
-            num_classes,
-            &probe,
-        );
-        probe_accuracy(&head, &test_x, &data.test_labels())
+    let seen = finetune_heads(fed, num_classes, &cfg.probe, |id| {
+        (&encoders[id], global_head.clone())
     });
-    let seen = PersonalizationOutcome::from_accuracies(accuracies);
-
     // Export the average of local encoders as the best available "global"
     // encoder for novel clients / figures.
     let encoder_flats: Vec<Vec<f32>> = encoders.iter().map(Module::to_flat).collect();

@@ -3,12 +3,13 @@
 //! produce a good personalized model; evaluation therefore adapts the full
 //! model locally before testing.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::baselines::{baseline_round, client_round_seed, BaselineResult};
 use crate::config::FlConfig;
 use crate::model::{train_supervised, ClassifierModel, TrainScope};
 use crate::parallel::parallel_map;
 use crate::personalize::PersonalizationOutcome;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::batch::batches;
 use calibre_data::FederatedDataset;
 use calibre_tensor::nn::{gradients, Binding, Module};
@@ -37,62 +38,62 @@ pub fn run_perfedavg(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
     let mut global = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
     let alpha = cfg.local_lr;
     let beta = cfg.local_lr * 0.5;
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
-        let updates = parallel_map(selected, |&id| {
-            let data = fed.client(id);
-            let labels = data.train_labels();
-            let mut model = global.clone();
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
-            let mut loss_sum = 0.0;
-            let mut meta_steps = 0;
-            for _ in 0..cfg.local_epochs {
-                let all = batches(data.train.len(), cfg.batch_size, false, &mut r);
-                // Consume batches in (support, query) pairs.
-                for pair in all.chunks(2) {
-                    if pair.len() < 2 {
-                        continue;
+    for round in 0..scheduler.rounds() {
+        baseline_round(
+            &scheduler,
+            round,
+            &mut global,
+            &mut round_losses,
+            |_| (),
+            |id, global, ()| {
+                let data = fed.client(id);
+                let labels = data.train_labels();
+                let mut model = global.clone();
+                let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+                let mut loss_sum = 0.0;
+                let mut meta_steps = 0;
+                for _ in 0..cfg.local_epochs {
+                    let all = batches(data.train.len(), cfg.batch_size, false, &mut r);
+                    // Consume batches in (support, query) pairs.
+                    for pair in all.chunks(2) {
+                        if pair.len() < 2 {
+                            continue;
+                        }
+                        let render = |idx: &[usize]| {
+                            let samples: Vec<_> = idx.iter().map(|&i| &data.train[i]).collect();
+                            let x = fed.generator().render_batch(samples.iter().copied());
+                            let y: Vec<usize> = idx.iter().map(|&i| labels[i]).collect();
+                            (x, y)
+                        };
+                        let (x_s, y_s) = render(&pair[0]);
+                        let (x_q, y_q) = render(&pair[1]);
+                        // Inner step on the support batch.
+                        let mut inner = model.clone();
+                        let (support_grads, _) = batch_gradients(&mut inner, &x_s, &y_s);
+                        for (p, g) in inner.parameters_mut().into_iter().zip(support_grads.iter()) {
+                            p.add_scaled(g, -alpha);
+                        }
+                        // First-order meta gradient: query gradient at the
+                        // adapted point, applied to the un-adapted model.
+                        let (query_grads, loss) = batch_gradients(&mut inner, &x_q, &y_q);
+                        for (p, g) in model.parameters_mut().into_iter().zip(query_grads.iter()) {
+                            p.add_scaled(g, -beta);
+                        }
+                        loss_sum += loss;
+                        meta_steps += 1;
                     }
-                    let render = |idx: &[usize]| {
-                        let samples: Vec<_> = idx.iter().map(|&i| &data.train[i]).collect();
-                        let x = fed.generator().render_batch(samples.iter().copied());
-                        let y: Vec<usize> = idx.iter().map(|&i| labels[i]).collect();
-                        (x, y)
-                    };
-                    let (x_s, y_s) = render(&pair[0]);
-                    let (x_q, y_q) = render(&pair[1]);
-                    // Inner step on the support batch.
-                    let mut inner = model.clone();
-                    let (support_grads, _) = batch_gradients(&mut inner, &x_s, &y_s);
-                    for (p, g) in inner.parameters_mut().into_iter().zip(support_grads.iter()) {
-                        p.add_scaled(g, -alpha);
-                    }
-                    // First-order meta gradient: query gradient at the
-                    // adapted point, applied to the un-adapted model.
-                    let (query_grads, loss) = batch_gradients(&mut inner, &x_q, &y_q);
-                    for (p, g) in model.parameters_mut().into_iter().zip(query_grads.iter()) {
-                        p.add_scaled(g, -beta);
-                    }
-                    loss_sum += loss;
-                    meta_steps += 1;
                 }
-            }
-            (
-                model.to_flat(),
-                data.train_len(),
-                loss_sum / meta_steps.max(1) as f32,
-            )
-        });
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, c, _)| *c).collect();
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        round_losses
-            .push(updates.iter().map(|(_, _, l)| l).sum::<f32>() / updates.len().max(1) as f32);
+                ClientOutcome {
+                    state: (),
+                    flat: model.to_flat(),
+                    count: data.train_len(),
+                    payload: loss_sum / meta_steps.max(1) as f32,
+                }
+            },
+        );
     }
 
     // Personalization: every client adapts the full model locally (the MAML

@@ -3,12 +3,11 @@
 //! variates `c` (server) and `c_i` (per client): every local gradient is
 //! adjusted by `− c_i + c`.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, evaluate_with_head_finetune, BaselineResult};
+use crate::baselines::{baseline_round, client_round_seed, evaluate_global, BaselineResult};
 use crate::config::FlConfig;
 use crate::model::ClassifierModel;
-use crate::parallel::parallel_map;
-use crate::personalize::PersonalizationOutcome;
+use crate::resilient::ClientOutcome;
+use crate::scheduler::RoundScheduler;
 use calibre_data::batch::batches;
 use calibre_data::FederatedDataset;
 use calibre_tensor::nn::{gradients, Binding, Module};
@@ -23,19 +22,19 @@ fn flatten(grads: &[Matrix]) -> Vec<f32> {
     out
 }
 
-/// One local SCAFFOLD pass. Returns `(new_model_flat, new_c_i, steps, loss)`.
+/// One local SCAFFOLD pass from the round's global model. Returns
+/// `(new_model_flat, new_c_i, loss)`.
 fn local_update(
     fed: &FederatedDataset,
     id: usize,
-    global_flat: &[f32],
+    global: &ClassifierModel,
     c_global: &[f32],
     c_i: &[f32],
     cfg: &FlConfig,
     round: usize,
-) -> (Vec<f32>, Vec<f32>, usize, f32) {
-    let num_classes = fed.generator().num_classes();
-    let mut model = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
-    model.load_flat(global_flat);
+) -> (Vec<f32>, Vec<f32>, f32) {
+    let global_flat = global.to_flat();
+    let mut model = global.clone();
     let data = fed.client(id);
     let labels = data.train_labels();
     let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
@@ -81,7 +80,7 @@ fn local_update(
         .map(|j| c_i[j] - c_global[j] + (global_flat[j] - model_flat[j]) * scale)
         .collect();
     let mean_loss = loss_sum / steps.max(1) as f32;
-    (model_flat, new_c_i, steps, mean_loss)
+    (model_flat, new_c_i, mean_loss)
 }
 
 /// Trains a global classifier with SCAFFOLD. Returns the model and the
@@ -95,44 +94,41 @@ pub fn train_scaffold_global(
     let dim = global.num_scalars();
     let mut c_global = vec![0.0f32; dim];
     let mut c_clients: Vec<Vec<f32>> = vec![vec![0.0f32; dim]; fed.num_clients()];
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
 
-    for (round, selected) in schedule.iter().enumerate() {
-        let global_flat = global.to_flat();
-        let inputs: Vec<(usize, Vec<f32>)> = selected
-            .iter()
-            .map(|&id| (id, c_clients[id].clone()))
-            .collect();
-        let updates = parallel_map(&inputs, |(id, c_i)| {
-            local_update(fed, *id, &global_flat, &c_global, c_i, cfg, round)
-        });
+    for round in 0..scheduler.rounds() {
+        let outcome = baseline_round(
+            &scheduler,
+            round,
+            &mut global,
+            &mut round_losses,
+            |id| c_clients[id].clone(),
+            |id, global, c_i| {
+                let (flat, new_c_i, loss) =
+                    local_update(fed, id, global, &c_global, &c_i, cfg, round);
+                ClientOutcome {
+                    state: new_c_i,
+                    flat,
+                    count: fed.client(id).train_len(),
+                    payload: loss,
+                }
+            },
+        );
 
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = selected
-            .iter()
-            .map(|&id| fed.client(id).train_len())
-            .collect();
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-
-        // c ← c + (|S|/N) · mean_i(c_i⁺ − c_i)
-        let frac = selected.len() as f32 / fed.num_clients() as f32;
+        // c ← c + (|S|/N) · mean_i(c_i⁺ − c_i) over the accepted clients S.
+        let accepted = outcome.accepted.len() as f32;
+        let frac = accepted / fed.num_clients() as f32;
         let mut delta_mean = vec![0.0f32; dim];
-        for ((id, _), (_, new_c_i, _, _)) in inputs.iter().zip(updates.iter()) {
+        for a in outcome.accepted {
             for j in 0..dim {
-                delta_mean[j] += (new_c_i[j] - c_clients[*id][j]) / selected.len() as f32;
+                delta_mean[j] += (a.state[j] - c_clients[a.id][j]) / accepted;
             }
-            c_clients[*id] = new_c_i.clone();
+            c_clients[a.id] = a.state;
         }
         for j in 0..dim {
             c_global[j] += frac * delta_mean[j];
         }
-        let mean_loss =
-            updates.iter().map(|(_, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        round_losses.push(mean_loss);
     }
     (global, round_losses)
 }
@@ -140,20 +136,8 @@ pub fn train_scaffold_global(
 /// Runs SCAFFOLD end to end (with `finetune` selecting SCAFFOLD vs
 /// SCAFFOLD-FT evaluation, as in FedAvg).
 pub fn run_scaffold(fed: &FederatedDataset, cfg: &FlConfig, finetune: bool) -> BaselineResult {
-    let num_classes = fed.generator().num_classes();
     let (global, round_losses) = train_scaffold_global(fed, cfg);
-    let seen = if finetune {
-        let head = global.head().clone();
-        evaluate_with_head_finetune(global.encoder(), fed, num_classes, &cfg.probe, |_| {
-            head.clone()
-        })
-    } else {
-        let ids: Vec<usize> = (0..fed.num_clients()).collect();
-        let accuracies = parallel_map(&ids, |&id| {
-            global.test_accuracy(fed.client(id), fed.generator())
-        });
-        PersonalizationOutcome::from_accuracies(accuracies)
-    };
+    let seen = evaluate_global(&global, fed, &cfg.probe, finetune);
     BaselineResult {
         name: if finetune { "SCAFFOLD-FT" } else { "SCAFFOLD" }.to_string(),
         seen,

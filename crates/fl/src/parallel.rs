@@ -20,7 +20,7 @@
 //!
 //! # One engine
 //!
-//! All three public maps are thin wrappers over one private engine: chunk
+//! Both public maps are thin wrappers over one private engine: chunk
 //! the items, spawn one scoped thread per chunk, fill the result slots, and
 //! join. Each item runs under its own `client` span, on whichever thread
 //! ran it. While the calling thread spawns the workers and blocks on the
@@ -67,18 +67,6 @@ where
     map_chunked(items.iter().collect(), f)
 }
 
-/// Like [`parallel_map`], but consumes the items — used when each client's
-/// persistent state (SSL networks, optimizers, queues) must move into its
-/// update closure and back out through the result.
-pub fn parallel_map_owned<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    map_chunked(items, f)
-}
-
 /// A panic caught from one client's worker closure.
 ///
 /// Produced by [`parallel_map_resilient`]; the payload is stringified so it
@@ -108,9 +96,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Like [`parallel_map_owned`], but a panic in one item's closure is
-/// caught (`catch_unwind` around the worker body) and surfaces as an `Err`
-/// in that item's slot instead of aborting the whole round.
+/// Like [`parallel_map`], but consumes the items — each client's
+/// persistent state moves into its update closure and back out through the
+/// result — and a panic in one item's closure is caught (`catch_unwind`
+/// around the worker body) and surfaces as an `Err` in that item's slot
+/// instead of aborting the whole round.
 ///
 /// This is the execution substrate of the resilient round executor: a
 /// client crashing mid-update must cost exactly one cohort slot, never the
@@ -221,14 +211,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn owned_variant_preserves_order_and_moves_items() {
-        let items: Vec<String> = (0..50).map(|i| i.to_string()).collect();
-        let out = parallel_map_owned(items, |s| format!("x{s}"));
-        assert_eq!(out.len(), 50);
-        assert_eq!(out[7], "x7");
-    }
-
-    #[test]
     fn preserves_order() {
         let items: Vec<usize> = (0..100).collect();
         let out = parallel_map(&items, |&i| i * 2);
@@ -274,12 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn owned_empty_input_gives_empty_output() {
-        let out: Vec<usize> = parallel_map_owned(Vec::new(), |i: usize| i);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn resilient_map_isolates_panics_to_their_slot() {
         let items: Vec<usize> = (0..20).collect();
         let out = parallel_map_resilient(items, |i| {
@@ -307,6 +283,15 @@ mod tests {
             .map(|(r, _)| r.unwrap())
             .collect();
         assert_eq!(ok, (1..14).collect::<Vec<_>>());
+
+        // Owned, non-`Copy` items move through the closure in input order.
+        let names: Vec<String> = (0..50).map(|i| i.to_string()).collect();
+        let moved: Vec<String> = parallel_map_resilient(names, |s| format!("x{s}"))
+            .into_iter()
+            .map(|(r, _)| r.unwrap())
+            .collect();
+        assert_eq!(moved.len(), 50);
+        assert_eq!(moved[7], "x7");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Resilient round execution: bounded retries, update validation, and
 //! minimum-quorum partial aggregation over a chaos-injected cohort.
 //!
-//! The federated round loops ([`crate::pfl_ssl`], and the Calibre framework
-//! in the `calibre` crate) funnel their select → local-update → aggregate
-//! cycle through [`run_round_resilient`], which:
+//! The federated round loops ([`crate::pfl_ssl`], the baselines in
+//! [`crate::baselines`], and the Calibre framework in the `calibre` crate)
+//! funnel their select → local-update → aggregate cycle through
+//! [`run_round_resilient`], which:
 //!
 //! 1. asks the optional [`FaultInjector`] what goes wrong for each
 //!    `(round, client, attempt)` cell — dropout, straggle, mid-update

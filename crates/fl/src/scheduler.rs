@@ -1,10 +1,12 @@
 //! Round orchestration shared by every training loop.
 //!
 //! [`RoundScheduler`] owns the three per-run decisions that used to be
-//! duplicated inside `pfl_ssl` and the Calibre framework loop: which
-//! clients participate in a round (a fixed schedule or a seeded
-//! [`Sampler`]), what faults are injected ([`FaultInjector`]), and how the
-//! round is executed and aggregated ([`RoundPolicy`]).
+//! duplicated inside `pfl_ssl`, the Calibre framework loop and every
+//! federated baseline: which clients participate in a round (a fixed
+//! schedule or a seeded [`Sampler`]), what faults are injected
+//! ([`FaultInjector`]), and how the round is executed and aggregated
+//! ([`RoundPolicy`]). The baselines in [`crate::baselines`] reach it
+//! through one per-round helper and always take the collect path.
 //!
 //! Two execution paths share that state:
 //!

@@ -1,4 +1,4 @@
-//! Golden checksums for the federated baselines.
+//! Golden checksums for the federated baselines, and their round policy.
 //!
 //! Each of the eleven federated baselines runs on one tiny federation
 //! (4 clients, 3 of them per round, 3 rounds) with the default policy and
@@ -7,12 +7,19 @@
 //! checksum of the seen-client accuracies. Any change to a baseline's
 //! round semantics (selection, client order, aggregation arithmetic,
 //! per-client state carried between rounds) moves at least one of them.
+//!
+//! The baselines train through the shared round scheduler, so the run's
+//! chaos plan and aggregation policy apply to them too; the last tests
+//! check that they do.
 
 use calibre_data::{AugmentConfig, FederatedDataset, NonIid, PartitionConfig, SynthVisionSpec};
+use calibre_fl::aggregate::Aggregator;
 use calibre_fl::baselines::{
     apfl, ditto, fedavg, fedbabu, fedema, fedper, fedprox, fedrep, lgfedavg, perfedavg, scaffold,
     BaselineResult,
 };
+use calibre_fl::chaos::FaultPlan;
+use calibre_fl::model::ClassifierModel;
 use calibre_fl::proto::model_checksum;
 use calibre_fl::FlConfig;
 use calibre_tensor::nn::Module;
@@ -167,4 +174,76 @@ fn fedema_is_golden() {
         [0x3d29_20ed, 0x3db9_9407, 0xbd5f_6d40],
         0x1c7b_5d95_cac5_f725,
     );
+}
+
+/// A config whose chaos plan drops every client of every round.
+fn all_dropped() -> FlConfig {
+    let mut cfg = cfg();
+    cfg.chaos = FaultPlan {
+        drop_prob: 1.0,
+        ..FaultPlan::default()
+    };
+    cfg
+}
+
+#[test]
+fn every_round_skipped_leaves_fedavg_and_scaffold_at_their_init() {
+    let fed = fed();
+    let cfg = all_dropped();
+    let init = ClassifierModel::new(&cfg.ssl, fed.generator().num_classes(), cfg.seed).to_flat();
+    for (name, (model, losses)) in [
+        ("FedAvg", fedavg::train_fedavg_global(&fed, &cfg)),
+        ("SCAFFOLD", scaffold::train_scaffold_global(&fed, &cfg)),
+    ] {
+        assert_eq!(
+            model.to_flat(),
+            init,
+            "{name}: skipped rounds moved the model"
+        );
+        assert_eq!(losses.len(), cfg.rounds, "{name}");
+        assert!(losses.iter().all(|l| l.is_finite()), "{name}: {losses:?}");
+    }
+}
+
+/// Runs each federated baseline under `cfg`.
+fn roster(cfg: &FlConfig) -> Vec<BaselineResult> {
+    let fed = fed();
+    vec![
+        fedavg::run_fedavg(&fed, cfg, true),
+        scaffold::run_scaffold(&fed, cfg, true),
+        fedprox::run_fedprox(&fed, cfg, 0.1),
+        perfedavg::run_perfedavg(&fed, cfg),
+        fedbabu::run_fedbabu(&fed, cfg),
+        fedrep::run_fedrep(&fed, cfg),
+        fedper::run_fedper(&fed, cfg),
+        lgfedavg::run_lgfedavg(&fed, cfg),
+        apfl::run_apfl(&fed, cfg),
+        ditto::run_ditto(&fed, cfg),
+        fedema::run_fedema(&fed, cfg, &AugmentConfig::default()),
+    ]
+}
+
+#[test]
+fn chaos_reaches_every_baseline() {
+    for (clean, dropped) in roster(&cfg()).iter().zip(roster(&all_dropped())) {
+        assert_ne!(
+            clean.encoder.to_flat(),
+            dropped.encoder.to_flat(),
+            "{}",
+            clean.name
+        );
+        assert_ne!(clean.round_losses, dropped.round_losses, "{}", clean.name);
+        assert!(dropped.round_losses.iter().all(|l| l.is_finite()));
+    }
+}
+
+#[test]
+fn coordinate_median_moves_fedavg_away_from_the_weighted_run() {
+    let fed = fed();
+    let mut median = cfg();
+    median.policy.aggregator = Aggregator::CoordinateMedian;
+    let (weighted, _) = fedavg::train_fedavg_global(&fed, &cfg());
+    let (robust, losses) = fedavg::train_fedavg_global(&fed, &median);
+    assert_ne!(weighted.to_flat(), robust.to_flat());
+    assert!(losses.iter().all(|l| l.is_finite()), "{losses:?}");
 }
