@@ -507,6 +507,26 @@ mod tests {
     }
 
     #[test]
+    fn ssl_training_and_personalization_leave_observation_caches_empty() {
+        let fed = tiny_fed();
+        let cfg = tiny_cfg();
+        let (encoder, _, _) = train_calibre_encoder(
+            &fed,
+            &cfg,
+            SslKind::SimClr,
+            &CalibreConfig::default(),
+            &AugmentConfig::default(),
+        );
+        calibre_fl::personalize_cohort(&encoder, &fed, 10, &cfg.probe);
+        for id in 0..fed.num_clients() {
+            assert!(
+                fed.cached_train_observations(id).is_none(),
+                "client {id}'s cache was filled"
+            );
+        }
+    }
+
+    #[test]
     fn training_is_deterministic() {
         let fed = tiny_fed();
         let cfg = tiny_cfg();

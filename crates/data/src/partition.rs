@@ -16,9 +16,10 @@
 
 use crate::sample::{ClientData, Sample};
 use crate::synth::{SynthVision, SynthVisionSpec};
-use calibre_tensor::rng;
+use calibre_tensor::{rng, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Label-skew regime for a federated dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,11 +72,18 @@ impl Default for PartitionConfig {
 }
 
 /// A complete federated dataset: the shared generator plus one
-/// [`ClientData`] per client.
+/// [`ClientData`] per client, each beside a cache of its rendered training
+/// split.
 #[derive(Debug, Clone)]
 pub struct FederatedDataset {
     generator: SynthVision,
     clients: Vec<ClientData>,
+    /// `train_obs[c]` is `generator.render_batch(&clients[c].train)`, filled
+    /// by the first [`FederatedDataset::train_observations`] call for `c`.
+    /// It cannot go stale: the generator and the samples are fixed once a
+    /// constructor returns (the feature shift is applied before any cache
+    /// can fill), and clients are only handed out as `&ClientData`.
+    train_obs: Vec<OnceLock<Matrix>>,
 }
 
 impl FederatedDataset {
@@ -104,7 +112,17 @@ impl FederatedDataset {
             let dist = client_label_distribution(&config.non_iid, k, &mut crng);
             clients.push(generate_client(&generator, &dist, config, &mut crng));
         }
-        FederatedDataset { generator, clients }
+        FederatedDataset::new(generator, clients)
+    }
+
+    /// A dataset over `clients` with every observation cache empty.
+    fn new(generator: SynthVision, clients: Vec<ClientData>) -> Self {
+        let train_obs = clients.iter().map(|_| OnceLock::new()).collect();
+        FederatedDataset {
+            generator,
+            clients,
+            train_obs,
+        }
     }
 
     /// Builds a federated dataset with additional per-client *covariate*
@@ -176,6 +194,51 @@ impl FederatedDataset {
         &self.clients[id]
     }
 
+    /// Client `id`'s labeled training split rendered as one
+    /// `(train_len, obs_dim)` matrix: row `i` is the canonical observation of
+    /// `client(id).train[i]`. The first call renders the split (on whichever
+    /// thread asks first); every later call returns the same matrix.
+    ///
+    /// Supervised training loops reach it through
+    /// [`FederatedDataset::train_batch`]. The SSL, personalization and
+    /// evaluation paths render their inputs with the generator and never
+    /// fill the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn train_observations(&self, id: usize) -> &Matrix {
+        let train = &self.client(id).train;
+        self.train_obs[id].get_or_init(|| self.generator.render_batch(train))
+    }
+
+    /// Client `id`'s rendered training split if a training loop has already
+    /// filled it; `None` before that or for an out-of-range `id`.
+    pub fn cached_train_observations(&self, id: usize) -> Option<&Matrix> {
+        self.train_obs.get(id).and_then(OnceLock::get)
+    }
+
+    /// One labeled mini-batch of client `id`'s training split: the rows
+    /// `batch` (indices into `train`, any order, repeats allowed) gathered
+    /// from [`FederatedDataset::train_observations`], and their labels.
+    /// Bit-identical to `generator().render_batch` of the same samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` or any index in `batch` is out of range.
+    pub fn train_batch(&self, id: usize, batch: &[usize]) -> (Matrix, Vec<usize>) {
+        let x = self.train_observations(id).gather_rows(batch);
+        // `gather_rows` has already rejected any out-of-range index, so
+        // `filter_map` keeps every entry of `batch`.
+        let train = &self.client(id).train;
+        let y = batch
+            .iter()
+            .filter_map(|&i| train.get(i))
+            .map(Sample::expect_label)
+            .collect();
+        (x, y)
+    }
+
     /// Splits off the last `n` clients as a "novel" cohort that never
     /// participates in training (the paper's 50 unseen clients in Fig. 4).
     ///
@@ -190,14 +253,8 @@ impl FederatedDataset {
         let mut clients = self.clients;
         let novel = clients.split_off(clients.len() - n);
         (
-            FederatedDataset {
-                generator: self.generator.clone(),
-                clients,
-            },
-            FederatedDataset {
-                generator: self.generator,
-                clients: novel,
-            },
+            FederatedDataset::new(self.generator.clone(), clients),
+            FederatedDataset::new(self.generator, novel),
         )
     }
 
@@ -224,11 +281,10 @@ fn client_label_distribution<R: Rng + ?Sized>(
         NonIid::Dirichlet { alpha } => rng::dirichlet(rng_, alpha, num_classes),
         NonIid::Quantity { classes_per_client } => {
             let chosen = rng::sample_without_replacement(rng_, num_classes, classes_per_client);
-            let mut dist = vec![0.0; num_classes];
-            for &c in &chosen {
-                dist[c] = 1.0 / classes_per_client as f64;
-            }
-            dist
+            let share = 1.0 / classes_per_client as f64;
+            (0..num_classes)
+                .map(|k| if chosen.contains(&k) { share } else { 0.0 })
+                .collect()
         }
     }
 }
@@ -404,6 +460,26 @@ mod tests {
         cfg.seed += 1;
         let b = FederatedDataset::build(SynthVisionSpec::cifar10(), &cfg);
         assert_ne!(a.client(0).train, b.client(0).train);
+    }
+
+    #[test]
+    fn train_observations_are_rendered_once() {
+        let fed = FederatedDataset::build(SynthVisionSpec::cifar10(), &PartitionConfig::default());
+        assert!(fed.cached_train_observations(1).is_none());
+        let first = fed.train_observations(1);
+        let second = fed.train_observations(1);
+        assert!(std::ptr::eq(first, second));
+        assert_eq!(first.as_slice().as_ptr(), second.as_slice().as_ptr());
+        assert!(std::ptr::eq(
+            fed.cached_train_observations(1).unwrap(),
+            first
+        ));
+        assert_eq!(first.shape(), (fed.client(1).train_len(), 64));
+        assert!(
+            fed.cached_train_observations(0).is_none(),
+            "other clients stay empty"
+        );
+        assert!(fed.cached_train_observations(fed.num_clients()).is_none());
     }
 
     #[test]

@@ -2,10 +2,22 @@
 //!
 //! A [`Sample`] stores the *latent* description of a data point — its class
 //! semantic vector and its nuisance vector — not the rendered observation.
-//! Observations are rendered on demand by the
-//! [`SynthVision`](crate::SynthVision) generator, which is what lets the
-//! augmentation pipeline create fresh views of the same underlying content,
-//! exactly as image augmentation does for real photos.
+//! Observations are rendered by the [`SynthVision`](crate::SynthVision)
+//! generator, which is what lets the augmentation pipeline create fresh
+//! views of the same underlying content, exactly as image augmentation does
+//! for real photos.
+//!
+//! Augmented views, test splits and personalization inputs are rendered
+//! each time they are needed. The one exception is the canonical rendering
+//! of a client's labeled training split, which every supervised local loop
+//! reads epoch after epoch: the
+//! [`FederatedDataset`](crate::FederatedDataset) renders it once, the first
+//! time a training loop asks
+//! ([`FederatedDataset::train_observations`](crate::FederatedDataset::train_observations)),
+//! and keeps it beside the client's [`ClientData`]. The cache cannot go
+//! stale: the renderer is fixed, samples are only modified while the
+//! dataset is being built, and a built dataset hands out clients only as
+//! `&ClientData`.
 
 use serde::{Deserialize, Serialize};
 

@@ -175,11 +175,7 @@ impl SynthVision {
 
     /// Renders the canonical (deterministic) observation of a sample.
     pub fn render(&self, sample: &Sample) -> Vec<f32> {
-        let mut latent = Vec::with_capacity(self.spec.semantic_dim + self.spec.nuisance_dim);
-        latent.extend_from_slice(&sample.semantic);
-        latent.extend_from_slice(&sample.nuisance);
-        let x = Matrix::from_vec(1, latent.len(), latent);
-        self.renderer.infer(&x).into_vec()
+        self.render_batch(std::iter::once(sample)).into_vec()
     }
 
     /// Renders a stochastic augmented view of a sample: the nuisance latent
@@ -204,17 +200,28 @@ impl SynthVision {
         obs
     }
 
-    /// Renders a batch of canonical observations as an `(N, obs_dim)` matrix.
+    /// Renders a batch of canonical observations as an `(N, obs_dim)` matrix,
+    /// with one renderer pass over the stacked `[z ; u]` latents.
+    ///
+    /// A row's bits do not depend on the other rows, so any batch (or any
+    /// subset of rows gathered from one) equals rendering each sample on its
+    /// own: every renderer layer is a `matmul`, in which each output row
+    /// reads only its own input row and accumulates in increasing `k`,
+    /// followed by elementwise ops.
     pub fn render_batch<'a, I>(&self, samples: I) -> Matrix
     where
         I: IntoIterator<Item = &'a Sample>,
     {
-        let rows: Vec<Vec<f32>> = samples.into_iter().map(|s| self.render(s)).collect();
-        if rows.is_empty() {
-            Matrix::zeros(0, self.spec.obs_dim)
-        } else {
-            Matrix::from_rows(&rows)
+        let samples = samples.into_iter();
+        let width = self.spec.semantic_dim + self.spec.nuisance_dim;
+        let mut latent = Vec::with_capacity(samples.size_hint().0 * width);
+        let mut rows = 0;
+        for s in samples {
+            latent.extend_from_slice(&s.semantic);
+            latent.extend_from_slice(&s.nuisance);
+            rows += 1;
         }
+        self.renderer.infer(&Matrix::from_vec(rows, width, latent))
     }
 
     /// Renders two independent augmented views for every sample — the

@@ -122,4 +122,38 @@ proptest! {
         let hist = fed.global_label_histogram();
         prop_assert_eq!(hist.iter().sum::<usize>(), 5 * 30);
     }
+
+    #[test]
+    fn cached_gather_matches_batch_and_per_sample_render(
+        shift_std in prop_oneof![Just(0.0f32), 0.5f32..3.0],
+        seed in 0u64..500,
+        client in 0usize..3,
+        picks in prop::collection::vec(0usize..25, 0..40),
+    ) {
+        let fed = FederatedDataset::build_with_feature_shift(
+            SynthVisionSpec::cifar10(),
+            &PartitionConfig {
+                num_clients: 3,
+                train_per_client: 25,
+                test_per_client: 5,
+                unlabeled_per_client: 0,
+                non_iid: NonIid::Dirichlet { alpha: 0.3 },
+                seed,
+            },
+            shift_std,
+        );
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let train = &fed.client(client).train;
+        let (cached, labels) = fed.train_batch(client, &picks);
+        let batch = fed.generator().render_batch(picks.iter().map(|&i| &train[i]));
+        let stacked: Vec<f32> = picks
+            .iter()
+            .flat_map(|&i| fed.generator().render(&train[i]))
+            .collect();
+        prop_assert_eq!(cached.shape(), (picks.len(), 64));
+        prop_assert_eq!(bits(cached.as_slice()), bits(batch.as_slice()));
+        prop_assert_eq!(bits(batch.as_slice()), bits(&stacked));
+        let expected: Vec<usize> = picks.iter().map(|&i| train[i].expect_label()).collect();
+        prop_assert_eq!(labels, expected);
+    }
 }

@@ -53,7 +53,6 @@ pub fn run_apfl(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
             |id| (locals[id].clone(), alphas[id]),
             |id, global, (mut v, mut alpha)| {
                 let data = fed.client(id);
-                let labels = data.train_labels();
                 let mut w = global.clone();
                 let mut w_opt = Sgd::new(SgdConfig::with_lr_momentum(
                     cfg.local_lr,
@@ -64,9 +63,7 @@ pub fn run_apfl(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                 let mut steps = 0;
                 for _ in 0..cfg.local_epochs {
                     for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
-                        let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-                        let x = fed.generator().render_batch(samples.iter().copied());
-                        let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                        let (x, y) = fed.train_batch(id, &batch);
                         // Step the shared model (this is what the server sees).
                         loss_sum += supervised_step(&mut w, &x, &y, &mut w_opt, TrainScope::Full);
                         // Mixture gradient step on the personal model v:

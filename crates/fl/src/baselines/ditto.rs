@@ -41,7 +41,6 @@ pub fn run_ditto(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
             |id| personals[id].clone(),
             |id, global, mut v| {
                 let data = fed.client(id);
-                let labels = data.train_labels();
                 let mut w = global.clone();
                 let mut w_opt = Sgd::new(SgdConfig::with_lr_momentum(
                     cfg.local_lr,
@@ -53,9 +52,7 @@ pub fn run_ditto(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                 let mut steps = 0;
                 for _ in 0..cfg.local_epochs {
                     for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
-                        let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-                        let x = fed.generator().render_batch(samples.iter().copied());
-                        let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                        let (x, y) = fed.train_batch(id, &batch);
                         // Global-model step (what the server aggregates).
                         loss_sum += supervised_step(&mut w, &x, &y, &mut w_opt, TrainScope::Full);
                         // Personal-model step with the proximal pull toward the
@@ -98,8 +95,8 @@ pub fn run_ditto(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
         for _ in 0..cfg.probe.epochs {
             train_supervised(
                 &mut v,
-                data,
-                fed.generator(),
+                fed,
+                id,
                 1,
                 cfg.probe.batch_size,
                 &mut opt,

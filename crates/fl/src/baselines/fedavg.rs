@@ -38,8 +38,8 @@ pub fn train_fedavg_global(fed: &FederatedDataset, cfg: &FlConfig) -> (Classifie
                 let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
                 let loss = train_supervised(
                     &mut local,
-                    fed.client(id),
-                    fed.generator(),
+                    fed,
+                    id,
                     cfg.local_epochs,
                     cfg.batch_size,
                     &mut opt,

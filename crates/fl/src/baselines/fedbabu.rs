@@ -46,8 +46,8 @@ pub fn run_fedbabu(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                 let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
                 let loss = train_supervised(
                     &mut model,
-                    fed.client(id),
-                    fed.generator(),
+                    fed,
+                    id,
                     cfg.local_epochs,
                     cfg.batch_size,
                     &mut opt,

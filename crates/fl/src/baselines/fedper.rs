@@ -47,8 +47,8 @@ pub fn run_fedper(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                 // Joint training of encoder + personalization layer.
                 let loss = train_supervised(
                     &mut model,
-                    fed.client(id),
-                    fed.generator(),
+                    fed,
+                    id,
                     cfg.local_epochs,
                     cfg.batch_size,
                     &mut opt,

@@ -37,7 +37,6 @@ pub fn run_fedprox(fed: &FederatedDataset, cfg: &FlConfig, mu: f32) -> BaselineR
             |_| (),
             |id, global, ()| {
                 let data = fed.client(id);
-                let labels = data.train_labels();
                 let mut local = global.clone();
                 let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
                     cfg.local_lr,
@@ -48,9 +47,7 @@ pub fn run_fedprox(fed: &FederatedDataset, cfg: &FlConfig, mu: f32) -> BaselineR
                 let mut steps = 0;
                 for _ in 0..cfg.local_epochs {
                     for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
-                        let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-                        let x = fed.generator().render_batch(samples.iter().copied());
-                        let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                        let (x, y) = fed.train_batch(id, &batch);
                         loss_sum += supervised_step(&mut local, &x, &y, &mut opt, TrainScope::Full);
                         // Proximal pull toward the round's global parameters.
                         if mu > 0.0 {

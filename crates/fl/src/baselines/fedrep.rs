@@ -51,8 +51,8 @@ pub fn run_fedrep(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                 // epochs).
                 train_supervised(
                     &mut model,
-                    fed.client(id),
-                    fed.generator(),
+                    fed,
+                    id,
                     cfg.local_epochs,
                     cfg.batch_size,
                     &mut opt,
@@ -62,8 +62,8 @@ pub fn run_fedrep(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                 // Phase 2: one encoder epoch with the head frozen.
                 let loss = train_supervised(
                     &mut model,
-                    fed.client(id),
-                    fed.generator(),
+                    fed,
+                    id,
                     1,
                     cfg.batch_size,
                     &mut opt,

@@ -50,7 +50,6 @@ pub fn run_perfedavg(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
             |_| (),
             |id, global, ()| {
                 let data = fed.client(id);
-                let labels = data.train_labels();
                 let mut model = global.clone();
                 let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
                 let mut loss_sum = 0.0;
@@ -62,14 +61,8 @@ pub fn run_perfedavg(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                         if pair.len() < 2 {
                             continue;
                         }
-                        let render = |idx: &[usize]| {
-                            let samples: Vec<_> = idx.iter().map(|&i| &data.train[i]).collect();
-                            let x = fed.generator().render_batch(samples.iter().copied());
-                            let y: Vec<usize> = idx.iter().map(|&i| labels[i]).collect();
-                            (x, y)
-                        };
-                        let (x_s, y_s) = render(&pair[0]);
-                        let (x_q, y_q) = render(&pair[1]);
+                        let (x_s, y_s) = fed.train_batch(id, &pair[0]);
+                        let (x_q, y_q) = fed.train_batch(id, &pair[1]);
                         // Inner step on the support batch.
                         let mut inner = model.clone();
                         let (support_grads, _) = batch_gradients(&mut inner, &x_s, &y_s);
@@ -105,8 +98,8 @@ pub fn run_perfedavg(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
         let mut r = rng::seeded(cfg.seed ^ 0x9E37 ^ id as u64);
         train_supervised(
             &mut model,
-            fed.client(id),
-            fed.generator(),
+            fed,
+            id,
             cfg.probe.epochs,
             cfg.probe.batch_size,
             &mut opt,

@@ -36,16 +36,13 @@ fn local_update(
     let global_flat = global.to_flat();
     let mut model = global.clone();
     let data = fed.client(id);
-    let labels = data.train_labels();
     let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
     let mut steps = 0usize;
     let mut loss_sum = 0.0f32;
 
     for _ in 0..cfg.local_epochs {
         for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
-            let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-            let x = fed.generator().render_batch(samples.iter().copied());
-            let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+            let (x, y) = fed.train_batch(id, &batch);
 
             let mut g = Graph::new();
             let xn = g.constant(x);

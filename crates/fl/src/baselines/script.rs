@@ -44,8 +44,8 @@ pub fn run_script(fed: &FederatedDataset, cfg: &FlConfig, convergent: bool) -> B
         let mut r = rng::seeded(cfg.seed ^ 0x05_C1F7_5EED ^ id as u64);
         train_supervised(
             &mut model,
-            fed.client(id),
-            fed.generator(),
+            fed,
+            id,
             epochs,
             cfg.batch_size,
             &mut opt,

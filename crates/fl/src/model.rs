@@ -7,7 +7,7 @@
 //! substituted with a linear classifier", §V-A).
 
 use calibre_data::batch::batches;
-use calibre_data::{ClientData, SynthVision};
+use calibre_data::{ClientData, FederatedDataset, SynthVision};
 use calibre_ssl::SslConfig;
 use calibre_tensor::nn::{Activation, Binding, Linear, Mlp, Module};
 use calibre_tensor::optim::Sgd;
@@ -114,35 +114,35 @@ pub enum TrainScope {
     HeadOnly,
 }
 
-/// Runs `epochs` of supervised cross-entropy training on a client's local
-/// training split. Returns the mean loss of the final epoch.
+/// Runs `epochs` of supervised cross-entropy training on client `id`'s
+/// local training split. Returns the mean loss of the final epoch.
 ///
-/// The `scope` selects which parameters receive gradients; frozen parts
-/// still participate in the forward pass.
+/// Batches are gathered from the dataset's per-client observation cache
+/// ([`FederatedDataset::train_batch`]). The `scope` selects which
+/// parameters receive gradients; frozen parts still participate in the
+/// forward pass.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's local-update signature
 pub fn train_supervised<R: Rng + ?Sized>(
     model: &mut ClassifierModel,
-    data: &ClientData,
-    generator: &SynthVision,
+    fed: &FederatedDataset,
+    id: usize,
     epochs: usize,
     batch_size: usize,
     opt: &mut Sgd,
     scope: TrainScope,
     rng_: &mut R,
 ) -> f32 {
-    if data.train.is_empty() {
+    let n = fed.client(id).train_len();
+    if n == 0 {
         return 0.0;
     }
-    let labels = data.train_labels();
     let mut last_epoch_loss = 0.0;
     let mut arena = StepArena::new();
     for _ in 0..epochs {
         let mut epoch_loss = 0.0;
         let mut batches_seen = 0;
-        for batch in batches(data.train.len(), batch_size, false, rng_) {
-            let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-            let x = generator.render_batch(samples.iter().copied());
-            let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+        for batch in batches(n, batch_size, false, rng_) {
+            let (x, y) = fed.train_batch(id, &batch);
             epoch_loss += supervised_step_in(model, &x, &y, opt, scope, &mut arena);
             batches_seen += 1;
         }
@@ -231,8 +231,8 @@ mod tests {
         let mut r = rng::seeded(2);
         train_supervised(
             &mut model,
-            data,
-            fed.generator(),
+            &fed,
+            0,
             15,
             16,
             &mut opt,
@@ -257,8 +257,8 @@ mod tests {
         let mut r = rng::seeded(3);
         train_supervised(
             &mut model,
-            fed.client(0),
-            fed.generator(),
+            &fed,
+            0,
             1,
             16,
             &mut opt,
@@ -280,8 +280,8 @@ mod tests {
         let mut r = rng::seeded(4);
         train_supervised(
             &mut model,
-            fed.client(0),
-            fed.generator(),
+            &fed,
+            0,
             1,
             16,
             &mut opt,
