@@ -38,6 +38,9 @@
 //! defense recovers ≥ half of the clean worst-decile accuracy *and* the
 //! weighted average does not (both sides of the claim). Writes
 //! `results/attack.csv`.
+//!
+//! A malformed command line (unknown flag, missing or unparsable value)
+//! prints the problem on stderr and exits with status 2.
 
 use calibre_bench::obs::ObsArgs;
 use calibre_bench::parse_args;
@@ -217,9 +220,22 @@ fn run_cell(
     }
 }
 
+/// Prints a usage error on stderr and exits with status 2.
+fn usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// Parses `--key`'s value, or exits with a usage error.
+fn parse_value<T: std::str::FromStr>(key: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("--{key}: cannot parse {value:?}")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = parse_args(&args).unwrap_or_else(|e| panic!("argument error: {e}"));
+    let parsed = parse_args(&args).unwrap_or_else(|e| usage(&format!("argument error: {e}")));
 
     let mut fractions = vec![0.0f32, 0.1, 0.3];
     let mut only_defenses: Option<Vec<String>> = None;
@@ -237,21 +253,18 @@ fn main() {
             "fractions" => {
                 fractions = value
                     .split(',')
-                    .map(|f| f.trim().parse().expect("--fractions must be numbers"))
+                    .map(|f| parse_value(&key, f.trim()))
                     .collect();
             }
             "defenses" => {
                 only_defenses = Some(value.split(',').map(|d| d.trim().to_string()).collect());
             }
-            "population" => population = value.parse().expect("--population"),
-            "rounds" => rounds = value.parse().expect("--rounds"),
-            "dim" => dim = value.parse().expect("--dim"),
-            "seed" => seed = value.parse().expect("--seed"),
+            "population" => population = parse_value(&key, &value),
+            "rounds" => rounds = parse_value(&key, &value),
+            "dim" => dim = parse_value(&key, &value),
+            "seed" => seed = parse_value(&key, &value),
             "gate" => gate = value == "true",
-            other => {
-                eprintln!("unknown flag --{other}");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown flag --{other}")),
         }
     }
 

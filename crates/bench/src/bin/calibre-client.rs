@@ -17,6 +17,9 @@
 //!   smoke job's shape);
 //! - `--seed <u64>` — workload seed; must match the server's
 //!   (`calibre-serve --seed`), default matches `--smoke`.
+//!
+//! A malformed command line (unknown flag, missing or unparsable value)
+//! prints the problem on stderr and exits with status 2.
 
 use std::thread;
 
@@ -24,9 +27,22 @@ use calibre_bench::parse_args;
 use calibre_fl::serve::{sim_client_work, ServeConfig};
 use calibre_fl::transport::{run_client, ClientAddr, ClientOptions};
 
+/// Prints a usage error on stderr and exits with status 2.
+fn usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// Parses `--key`'s value, or exits with a usage error.
+fn parse_value<T: std::str::FromStr>(key: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("--{key}: cannot parse {value:?}")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = parse_args(&args).unwrap_or_else(|e| panic!("bad arguments: {e}"));
+    let parsed = parse_args(&args).unwrap_or_else(|e| usage(&format!("argument error: {e}")));
 
     let mut addr = "127.0.0.1:7461".to_string();
     let mut uds: Option<String> = None;
@@ -37,10 +53,10 @@ fn main() {
         match key.as_str() {
             "addr" => addr = value.clone(),
             "uds" => uds = Some(value.clone()),
-            "client" => single = Some(value.parse().expect("--client")),
-            "clients" => clients = value.parse().expect("--clients"),
-            "seed" => seed = value.parse().expect("--seed"),
-            _ => panic!("unknown flag --{key}"),
+            "client" => single = Some(parse_value(key, value)),
+            "clients" => clients = parse_value(key, value),
+            "seed" => seed = parse_value(key, value),
+            _ => usage(&format!("unknown flag --{key}")),
         }
     }
 

@@ -10,12 +10,12 @@
 //! linear probe).
 
 use crate::loss::{calibre_loss, CalibreConfig, CalibreLoss};
-use calibre_data::batch::batches;
+use calibre_data::batch::{render_local_views, TwoViews};
 use calibre_data::{AugmentConfig, ClientData, FederatedDataset, SynthVision};
 use calibre_fl::aggregate::{divergence_weights, sample_count_weights, StreamingWeightedSink};
-use calibre_fl::baselines::{client_round_seed, BaselineResult};
+use calibre_fl::baselines::BaselineResult;
 use calibre_fl::comm::CommReport;
-use calibre_fl::pfl_ssl::{fresh_method, RoundObserver};
+use calibre_fl::pfl_ssl::{fresh_method, render_client_views, RoundObserver};
 use calibre_fl::resilient::ClientOutcome;
 use calibre_fl::scheduler::{RoundContext, RoundScheduler};
 use calibre_fl::transport::StreamUpdate;
@@ -25,7 +25,7 @@ use calibre_telemetry::{ClientLosses, NullRecorder, Recorder};
 use calibre_tensor::nn::{Mlp, Module};
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::pool::report_arena_stats;
-use calibre_tensor::{rng, StepArena};
+use calibre_tensor::StepArena;
 use rand::Rng;
 
 /// One Calibre optimization step: SSL graph → prototype regularizers →
@@ -109,6 +109,10 @@ pub fn calibre_local_update<R: Rng + ?Sized>(
 
 /// Like [`calibre_local_update`], returning the full final-epoch loss
 /// decomposition (the per-client telemetry payload).
+///
+/// This is [`render_local_views`] followed by [`calibre_train_on_views`];
+/// the round loop runs the two apart, rendering on the worker queue ahead
+/// of the training.
 #[allow(clippy::too_many_arguments)]
 pub fn calibre_local_update_detailed<R: Rng + ?Sized>(
     method: &mut dyn SslMethod,
@@ -121,25 +125,29 @@ pub fn calibre_local_update_detailed<R: Rng + ?Sized>(
     opt: &mut Sgd,
     rng_: &mut R,
 ) -> LocalUpdate {
-    let pool = data.ssl_pool();
-    if pool.len() < 2 {
-        return LocalUpdate::default();
-    }
+    let views = render_local_views(&data.ssl_pool(), generator, aug, epochs, batch_size, rng_);
+    calibre_train_on_views(method, &views, config, opt)
+}
+
+/// Takes one calibrated step per pre-rendered batch (`views[epoch][b]`, as
+/// [`render_local_views`] returns them) and returns the final epoch's mean
+/// loss decomposition, or [`LocalUpdate::default`] when there is no epoch.
+/// Each step's k-means seed is `(epoch << 32) | b`.
+pub fn calibre_train_on_views(
+    method: &mut dyn SslMethod,
+    views: &[Vec<TwoViews>],
+    config: &CalibreConfig,
+    opt: &mut Sgd,
+) -> LocalUpdate {
     let mut last = LocalUpdate::default();
     let mut arena = StepArena::new();
-    for epoch in 0..epochs {
+    for (epoch, batches) in views.iter().enumerate() {
         let mut sums = LocalUpdate::default();
-        let mut seen = 0u64;
-        for (b, batch) in batches(pool.len(), batch_size, true, rng_)
-            .into_iter()
-            .enumerate()
-        {
-            let samples = batch.iter().map(|&i| pool[i]);
-            let (view_e, view_o) = generator.render_two_views(samples, aug, rng_);
+        for (b, (view_e, view_o)) in batches.iter().enumerate() {
             let kmeans_seed = (epoch as u64) << 32 | b as u64;
             let outcome = calibre_step_in(
                 method,
-                &TwoViewBatch::new(&view_e, &view_o),
+                &TwoViewBatch::new(view_e, view_o),
                 config,
                 opt,
                 kmeans_seed,
@@ -150,9 +158,8 @@ pub fn calibre_local_update_detailed<R: Rng + ?Sized>(
             sums.l_n += outcome.l_n;
             sums.l_p += outcome.l_p;
             sums.divergence += outcome.divergence;
-            seen += 1;
         }
-        let inv = 1.0 / seen.max(1) as f32;
+        let inv = 1.0 / batches.len().max(1) as f32;
         last = LocalUpdate {
             loss: sums.loss * inv,
             ssl: sums.ssl * inv,
@@ -235,25 +242,14 @@ pub fn train_calibre_encoder_observed(
             alpha: config.alpha * ramp,
             ..*config
         };
-        // One client's local update from the round's global encoder:
-        // returns the Calibre loss decomposition and the SSL pool size.
-        let local_update = |id: usize, method: &mut dyn SslMethod| {
+        // One client's local update from the round's global encoder, over
+        // the views `render_client_views` rendered for it: returns the
+        // Calibre loss decomposition and the SSL pool size.
+        let local_update = |id: usize, method: &mut dyn SslMethod, views: &[Vec<TwoViews>]| {
             method.encoder_mut().load_flat(&global_flat);
             let mut opt = Sgd::new(SgdConfig::with_lr_momentum(fl.local_lr, fl.local_momentum));
-            let mut r = rng::seeded(client_round_seed(fl.seed, round, id));
-            let data = fed.client(id);
-            let update = calibre_local_update_detailed(
-                method,
-                data,
-                fed.generator(),
-                aug,
-                fl.local_epochs,
-                fl.batch_size,
-                &round_config,
-                &mut opt,
-                &mut r,
-            );
-            (update, data.ssl_pool().len())
+            let update = calibre_train_on_views(method, views, &round_config, &mut opt);
+            (update, fed.client(id).ssl_pool().len())
         };
 
         // Streaming path (at or above the cohort threshold): fold wave by
@@ -272,7 +268,8 @@ pub fn train_calibre_encoder_observed(
                 &mut sink,
                 |id| {
                     let mut method = fresh_method(fl, kind, id);
-                    let (update, count) = local_update(id, method.as_mut());
+                    let views = render_client_views(fed, fl, aug, round, id);
+                    let (update, count) = local_update(id, method.as_mut(), &views);
                     let count = count.max(1) as f32;
                     let weight = if config.divergence_aware_aggregation {
                         count / (update.divergence.max(0.0) + 1e-3)
@@ -324,8 +321,9 @@ pub fn train_calibre_encoder_observed(
                     .take()
                     .unwrap_or_else(|| fresh_method(fl, kind, id))
             },
-            |id, mut method: Box<dyn SslMethod>| {
-                let (update, count) = local_update(id, method.as_mut());
+            |id| render_client_views(fed, fl, aug, round, id),
+            |id, mut method: Box<dyn SslMethod>, views: Vec<Vec<TwoViews>>| {
+                let (update, count) = local_update(id, method.as_mut(), &views);
                 ClientOutcome {
                     flat: method.encoder().to_flat(),
                     state: method,

@@ -52,6 +52,7 @@ mod synth;
 pub mod batch;
 
 pub use augment::AugmentConfig;
+pub use batch::render_local_views;
 pub use hetero::{
     label_distribution, label_entropy, mean_pairwise_tv, total_variation, HeterogeneityReport,
 };

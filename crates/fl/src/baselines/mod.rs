@@ -196,7 +196,8 @@ where
         &selected,
         &ctx,
         make_state,
-        |id, state| work(id, lent, state),
+        |_| (),
+        |id, state, ()| work(id, lent, state),
         |accepted| sample_count_weights(&accepted.iter().map(|a| a.count).collect::<Vec<_>>()),
         |&loss| {
             (

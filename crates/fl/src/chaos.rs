@@ -603,7 +603,7 @@ impl WireInjector {
 }
 
 /// Panics with a recognizable message — the injected "client crashed
-/// mid-update" fault. Always caught by `parallel_map_resilient`'s
+/// mid-update" fault. Always caught by `parallel_prep_map`'s
 /// `catch_unwind`; never escapes the resilient executor.
 pub fn panic_injected(round: usize, client: usize) -> ! {
     // analyze:allow(no-panic) -- this *is* the injected fault: the chaos

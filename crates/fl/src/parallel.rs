@@ -1,33 +1,56 @@
 //! Parallel execution of independent client updates.
 //!
 //! Within a federated round the selected clients are independent, so their
-//! local updates run on `std::thread` scoped threads. The helpers preserve
+//! local updates run on `std::thread` scoped threads. The maps preserve
 //! input order in their output, which the aggregation code relies on.
 //!
-//! # Chunking and load imbalance
+//! # One queue, two stages
 //!
-//! Work is split into *contiguous chunks* of `ceil(items / threads)` items,
-//! one chunk per thread. This costs nothing in coordination — no work queue,
-//! no atomics on the hot path — but it load-balances poorly when per-item
-//! cost is skewed: a thread whose chunk holds the slowest clients (e.g. the
-//! ones with the largest local datasets) finishes last while the others sit
-//! idle. That tradeoff is acceptable here because a round's selected clients
-//! have similar sample budgets by construction; if a future workload breaks
-//! that assumption (say, clients with order-of-magnitude different data
-//! sizes), switch to work stealing or size-sorted round-robin assignment
-//! before tuning anything else. [`parallel_map_resilient`] reports exactly
-//! the per-item wall-clock needed to diagnose such skew.
+//! Each item is two tasks: a *prep* that only reads the item (a client's
+//! two-view renders, which depend on its data and RNG but never on the
+//! model) and a *run* that consumes the item and the prep's output (the
+//! local SGD steps). All tasks sit in one queue in a fixed order, and every
+//! worker pulls the next task from a shared counter until the queue is
+//! empty:
 //!
-//! # One engine
+//! ```text
+//! P0 P1 .. P(w-1)  R0 P(w)  R1 P(w+1)  R2 ..  R(n-1)      (w = workers)
+//! ```
 //!
-//! Both public maps are thin wrappers over one private engine: chunk
-//! the items, spawn one scoped thread per chunk, fill the result slots, and
-//! join. Each item runs under its own `client` span, on whichever thread
-//! ran it. While the calling thread spawns the workers and blocks on the
-//! join it sits in a `wait_workers` span, so the caller's own span
-//! (`round`, `personalize`) is not charged for time the workers spent; the
-//! sequential fast path (one worker, or at most one item) never waits and
-//! opens no such span.
+//! so item `i`'s prep is queued `w` slots ahead of its run. A run waits
+//! only on its own item's prep, which was claimed before it and is either
+//! done or in progress on another worker; nothing else blocks. A worker
+//! that would otherwise sit idle at the end of a round renders the next
+//! client's views instead, and uneven clients (Dirichlet partitions give
+//! different pool sizes) spread over the workers as they finish rather
+//! than in fixed contiguous chunks.
+//!
+//! # Memory bound
+//!
+//! When item `i + w`'s prep is claimed, runs `0..=i` have been claimed, so
+//! at most `w` prepared items wait for their run and at most `w - 1` more
+//! are held by runs in flight: no more than `2w - 1` prep outputs are alive
+//! at once, whatever the cohort size. Each is dropped when its run returns.
+//!
+//! # Spans and timing
+//!
+//! Each run executes under its own `client` span, on whichever thread ran
+//! it; a prep carries whatever span its closure opens (the SSL loops'
+//! render opens `render_views`). While the calling thread spawns the
+//! workers and blocks on the join it sits in a `wait_workers` span, so the
+//! caller's own span (`round`, `personalize`) is not charged for time the
+//! workers spent; the sequential fast path (one worker, or at most one
+//! item) drains the queue on the calling thread and opens no such span.
+//! An item's reported wall clock is its prep plus its run, which is what
+//! the client cost, wherever the two ran.
+//!
+//! # Panics
+//!
+//! Every prep and run is wrapped in `catch_unwind`, so a panic never leaves
+//! a run waiting on a prep that will not finish. A panicking prep fails its
+//! item without running it. [`parallel_map`] re-raises the first panic in
+//! input order once every item is done; [`parallel_prep_map`] and
+//! [`parallel_map_resilient`] report it as an `Err` in that item's slot.
 //!
 //! # Workspaces are per worker
 //!
@@ -38,7 +61,11 @@
 //! selection (`calibre_tensor::backend::global_backend`), which workers read
 //! through an `Arc` at workspace creation.
 
+use std::any::Any;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 // analyze:allow(wallclock) -- Duration/Instant feed per-client telemetry
 // only; scheduling and aggregation stay clock-free.
 use std::time::{Duration, Instant};
@@ -48,7 +75,8 @@ use std::time::{Duration, Instant};
 /// The closure receives the item by reference and must be `Sync`; results
 /// are collected in input order. Uses up to `available_parallelism` threads
 /// (capped by the item count); falls back to sequential execution for a
-/// single item.
+/// single item. A panic in `f` is re-raised on the calling thread once
+/// every other item has finished.
 ///
 /// # Examples
 ///
@@ -64,13 +92,17 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    map_chunked(items.iter().collect(), f)
+    prep_run(items.iter().collect(), |_| (), |item, ()| f(item))
+        .into_iter()
+        .map(|(out, _)| out.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 /// A panic caught from one client's worker closure.
 ///
-/// Produced by [`parallel_map_resilient`]; the payload is stringified so it
-/// can cross threads and land in telemetry without generic baggage.
+/// Produced by [`parallel_map_resilient`] and [`parallel_prep_map`]; the
+/// payload is stringified so it can cross threads and land in telemetry
+/// without generic baggage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientPanic {
     /// The panic payload, if it was a `&str` or `String` (the usual case);
@@ -86,7 +118,7 @@ impl std::fmt::Display for ClientPanic {
 
 impl std::error::Error for ClientPanic {}
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Payload) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -102,10 +134,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// around the worker body) and surfaces as an `Err` in that item's slot
 /// instead of aborting the whole round.
 ///
-/// This is the execution substrate of the resilient round executor: a
-/// client crashing mid-update must cost exactly one cohort slot, never the
-/// run. Results stay in input order; the per-item wall clock covers the
-/// failed attempt too (crash time is still time spent).
+/// This is [`parallel_prep_map`] with a unit prep. Results stay in input
+/// order; the per-item wall clock covers the failed attempt too (crash time
+/// is still time spent).
 ///
 /// The closure must be idempotent-safe to lose: when it panics, the moved
 /// item is gone with it — retry logic has to rebuild state upstream.
@@ -132,83 +163,414 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    // AssertUnwindSafe: the closure owns `item` (moved in, lost on panic)
-    // and the shared captures are read-only (`Fn` + `Sync`), so no
-    // observable state can be left torn by an unwind.
-    map_chunked(items, |item| {
-        let start = Instant::now(); // analyze:allow(wallclock) -- telemetry only
-        let out =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).map_err(|payload| {
-                ClientPanic {
-                    message: panic_message(payload),
-                }
-            });
-        (out, start.elapsed())
-    })
+    parallel_prep_map(items, |_| (), |item, ()| f(item))
 }
 
-/// The worker map behind every public variant: contiguous chunks of
-/// `ceil(items / threads)` items, one scoped thread per chunk, one `client`
-/// span per item, results in input order.
-fn map_chunked<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
+/// Runs `prep` then `run` for every item on the worker queue (see the
+/// module docs), catching panics per item. `prep` reads the item and may
+/// run on any worker, ahead of time; `run` consumes the item and its own
+/// prep output. Results come back in input order, each with the wall clock
+/// of its prep plus its run.
+///
+/// This is the execution substrate of the resilient round executor: a
+/// client crashing mid-update must cost exactly one cohort slot, never the
+/// run. A panic in an item's prep fails that item without running it; a
+/// panic in its run loses the item (moved in) with it.
+///
+/// # Examples
+///
+/// ```
+/// use calibre_fl::parallel::parallel_prep_map;
+///
+/// let out = parallel_prep_map(vec![1, 2, 3], |&x| x * 10, |x, ten_x| x + ten_x);
+/// let sums: Vec<i32> = out.into_iter().map(|(r, _)| r.unwrap()).collect();
+/// assert_eq!(sums, vec![11, 22, 33]);
+/// ```
+pub fn parallel_prep_map<T, V, R, P, F>(
+    items: Vec<T>,
+    prep: P,
+    run: F,
+) -> Vec<(Result<R, ClientPanic>, Duration)>
 where
-    I: Send,
+    T: Send,
+    V: Send,
     R: Send,
-    F: Fn(I) -> R + Sync,
+    P: Fn(&T) -> V + Sync,
+    F: Fn(T, V) -> R + Sync,
 {
-    let run = |item: I| {
-        let _span = calibre_telemetry::span("client");
-        f(item)
-    };
-    let threads = worker_count(items.len());
-    if threads <= 1 {
-        return items.into_iter().map(run).collect();
-    }
-    let chunk_size = items.len().div_ceil(threads);
-    let mut slots: Vec<Option<I>> = items.into_iter().map(Some).collect();
-    let mut results: Vec<Option<R>> = (0..slots.len()).map(|_| None).collect();
-    // Spans the whole scope — spawning and the implicit join — so the
-    // caller's own span keeps only its own work, even when the workers take
-    // every core and the caller is descheduled right after spawning.
-    let wait = calibre_telemetry::span("wait_workers");
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in slots
-            .chunks_mut(chunk_size)
-            .zip(results.chunks_mut(chunk_size))
-        {
-            let run = &run;
-            scope.spawn(move || {
-                for (slot, out) in in_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                    // analyze:allow(no-expect) -- slots are populated just
-                    // before the scope spawns and taken exactly once.
-                    let item = slot.take().expect("slot filled before scope");
-                    *out = Some(run(item));
-                }
-            });
-        }
-    });
-    drop(wait);
-    results
+    prep_run(items, prep, run)
         .into_iter()
-        // analyze:allow(no-expect) -- the scoped threads fill every slot
-        // before `scope` returns; an empty slot is impossible.
-        .map(|r| r.expect("every slot filled by its chunk thread"))
+        .map(|(out, wall)| {
+            let out = out.map_err(|payload| ClientPanic {
+                message: panic_message(payload),
+            });
+            (out, wall)
+        })
+        .collect()
+}
+
+/// A caught panic payload.
+type Payload = Box<dyn Any + Send>;
+
+/// A stage's output or the panic it raised, and how long it took.
+type Timed<X> = (Result<X, Payload>, Duration);
+
+/// One entry of the worker queue.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    Prep(usize),
+    Run(usize),
+}
+
+/// The task order of `n` items on `workers` workers: the first `workers`
+/// preps, then each run followed by the prep `workers` items after it.
+fn task_order(n: usize, workers: usize) -> Vec<Task> {
+    let ahead = workers.max(1);
+    let mut tasks: Vec<Task> = (0..ahead.min(n)).map(Task::Prep).collect();
+    for i in 0..n {
+        tasks.push(Task::Run(i));
+        if i + ahead < n {
+            tasks.push(Task::Prep(i + ahead));
+        }
+    }
+    tasks
+}
+
+/// The shared state every worker drains.
+struct Queue<T, V> {
+    tasks: Vec<Task>,
+    next: AtomicUsize,
+    /// Each item, read by its prep and taken by its run.
+    items: Vec<Mutex<Option<T>>>,
+    /// Finished preps not yet taken by their run.
+    prepped: Mutex<Vec<Option<Timed<V>>>>,
+    /// Signalled whenever a prep lands in `prepped`.
+    ready: Condvar,
+}
+
+/// Locks `m`, recovering the data from a poisoned lock: every closure that
+/// runs under one of the queue's locks is wrapped in `catch_unwind`, so a
+/// poisoned lock holds consistent data.
+fn lock<X>(m: &Mutex<X>) -> MutexGuard<'_, X> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The payload of a slot whose item the queue could not find — a broken
+/// queue invariant, reported in that slot rather than by a panic.
+fn lost(what: &'static str) -> Payload {
+    Box::new(what)
+}
+
+impl<T, V> Queue<T, V> {
+    fn new(items: Vec<T>, workers: usize) -> Self {
+        let n = items.len();
+        Queue {
+            tasks: task_order(n, workers),
+            next: AtomicUsize::new(0),
+            items: items
+                .into_iter()
+                .map(|item| Mutex::new(Some(item)))
+                .collect(),
+            prepped: Mutex::new((0..n).map(|_| None).collect()),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Pulls tasks until the queue is empty; returns the runs this worker
+    /// finished, tagged with their item index.
+    fn drain<R>(
+        &self,
+        prep: &(impl Fn(&T) -> V + Sync),
+        run: &(impl Fn(T, V) -> R + Sync),
+    ) -> Vec<(usize, Timed<R>)> {
+        let mut done = Vec::new();
+        while let Some(&task) = self.tasks.get(self.next.fetch_add(1, Ordering::Relaxed)) {
+            match task {
+                Task::Prep(i) => self.prep(i, prep),
+                Task::Run(i) => done.push((i, self.run(i, run))),
+            }
+        }
+        done
+    }
+
+    fn prep(&self, i: usize, prep: &impl Fn(&T) -> V) {
+        let start = Instant::now(); // analyze:allow(wallclock) -- telemetry only
+        let out = match self.items.get(i).map(lock).as_deref() {
+            // AssertUnwindSafe: `prep` only reads the item and its captures
+            // (`Fn` + `Sync`), so an unwind leaves nothing torn.
+            Some(Some(item)) => catch_unwind(AssertUnwindSafe(|| prep(item))),
+            _ => Err(lost("item missing before its prep")),
+        };
+        if let Some(slot) = lock(&self.prepped).get_mut(i) {
+            *slot = Some((out, start.elapsed()));
+        }
+        self.ready.notify_all();
+    }
+
+    /// Blocks until item `i`'s prep has landed, then takes it.
+    fn take_prepped(&self, i: usize) -> Timed<V> {
+        let mut prepped = lock(&self.prepped);
+        loop {
+            match prepped.get_mut(i) {
+                Some(slot) => {
+                    if let Some(done) = slot.take() {
+                        return done;
+                    }
+                }
+                None => return (Err(lost("item out of range")), Duration::ZERO),
+            }
+            prepped = self
+                .ready
+                .wait(prepped)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn run<R>(&self, i: usize, run: &impl Fn(T, V) -> R) -> Timed<R> {
+        let (prepped, prep_wall) = self.take_prepped(i);
+        let item = self.items.get(i).and_then(|slot| lock(slot).take());
+        let start = Instant::now(); // analyze:allow(wallclock) -- telemetry only
+        let out = match (prepped, item) {
+            (Ok(view), Some(item)) => {
+                let _span = calibre_telemetry::span("client");
+                // AssertUnwindSafe: the run owns `item` and `view` (moved
+                // in, lost on panic) and its captures are read-only.
+                catch_unwind(AssertUnwindSafe(|| run(item, view)))
+            }
+            (Err(payload), _) => Err(payload),
+            (Ok(_), None) => Err(lost("item missing before its run")),
+        };
+        (out, prep_wall + start.elapsed())
+    }
+}
+
+/// The worker map behind every public variant: one queue of prep and run
+/// tasks drained by `worker_count` scoped threads (or by the calling thread
+/// when one worker suffices), results in input order.
+fn prep_run<T, V, R, P, F>(items: Vec<T>, prep: P, run: F) -> Vec<Timed<R>>
+where
+    T: Send,
+    V: Send,
+    R: Send,
+    P: Fn(&T) -> V + Sync,
+    F: Fn(T, V) -> R + Sync,
+{
+    let n = items.len();
+    let workers = worker_count(n);
+    let queue = Queue::new(items, workers);
+    let drain = || queue.drain(&prep, &run);
+    let finished = if workers <= 1 {
+        vec![drain()]
+    } else {
+        // Spans the whole scope — spawning and the join — so the caller's
+        // own span keeps only its own work, even when the workers take
+        // every core and the caller is descheduled right after spawning.
+        let _wait = calibre_telemetry::span("wait_workers");
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect::<Vec<_>>()
+        })
+    };
+    let mut slots: Vec<Option<Timed<R>>> = (0..n).map(|_| None).collect();
+    for (i, done) in finished.into_iter().flatten() {
+        if let Some(slot) = slots.get_mut(i) {
+            *slot = Some(done);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| (Err(lost("item never ran")), Duration::ZERO)))
         .collect()
 }
 
 /// Number of worker threads for `len` items: `available_parallelism` capped
-/// by the item count.
+/// by the item count. `available_parallelism` re-reads cgroup quota files
+/// on Linux, so it is resolved once per process.
 fn worker_count(len: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(len)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    });
+    cores.min(len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn counters(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
+
+    fn counts(c: &[AtomicUsize]) -> Vec<usize> {
+        c.iter().map(|c| c.load(Ordering::SeqCst)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Whatever the per-item costs, every prep and every run happens
+        // exactly once, each run sees its own prep's output, and results
+        // come back in input order.
+        #[test]
+        fn queue_runs_each_stage_once_in_input_order(
+            costs in prop::collection::vec((0u64..300, 0u64..300), 0..40),
+        ) {
+            let preps = counters(costs.len());
+            let runs = counters(costs.len());
+            let items: Vec<(usize, u64, u64)> =
+                costs.iter().enumerate().map(|(i, &(p, r))| (i, p, r)).collect();
+            let out = parallel_prep_map(
+                items,
+                |&(i, prep_us, _)| {
+                    std::thread::sleep(Duration::from_micros(prep_us));
+                    preps[i].fetch_add(1, Ordering::SeqCst);
+                    i * 7 + 1
+                },
+                |(i, _, run_us), prepped| {
+                    std::thread::sleep(Duration::from_micros(run_us));
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    (i, prepped)
+                },
+            );
+            prop_assert_eq!(out.len(), costs.len());
+            for (i, (result, _)) in out.into_iter().enumerate() {
+                prop_assert_eq!(result.unwrap(), (i, i * 7 + 1));
+            }
+            prop_assert!(counts(&preps).iter().all(|&c| c == 1), "{:?}", counts(&preps));
+            prop_assert!(counts(&runs).iter().all(|&c| c == 1), "{:?}", counts(&runs));
+        }
+    }
+
+    #[test]
+    fn task_order_queues_each_prep_workers_slots_ahead_of_its_run() {
+        let order = task_order(5, 2);
+        let names: Vec<String> = order
+            .iter()
+            .map(|t| match t {
+                Task::Prep(i) => format!("P{i}"),
+                Task::Run(i) => format!("R{i}"),
+            })
+            .collect();
+        assert_eq!(
+            names,
+            ["P0", "P1", "R0", "P2", "R1", "P3", "R2", "P4", "R3", "R4"]
+        );
+        // One worker: strictly prep, run, prep, run.
+        assert!(matches!(
+            task_order(2, 1)[..],
+            [Task::Prep(0), Task::Run(0), Task::Prep(1), Task::Run(1)]
+        ));
+        assert!(task_order(0, 4).is_empty());
+        // More workers than items: every prep first.
+        assert!(matches!(
+            task_order(2, 8)[..],
+            [Task::Prep(0), Task::Prep(1), Task::Run(0), Task::Run(1)]
+        ));
+    }
+
+    #[test]
+    fn each_run_receives_its_own_prep_even_when_preps_finish_out_of_order() {
+        // Early preps are the slowest, so later preps land first.
+        let items: Vec<u64> = (0..12).rev().collect();
+        let out = parallel_prep_map(
+            items,
+            |&ms| {
+                std::thread::sleep(Duration::from_millis(ms));
+                format!("view-{ms}")
+            },
+            |ms, view| (ms, view),
+        );
+        for (i, (result, _)) in out.into_iter().enumerate() {
+            let ms = 11 - i as u64;
+            assert_eq!(result.unwrap(), (ms, format!("view-{ms}")));
+        }
+    }
+
+    #[test]
+    fn a_panicking_prep_fails_its_slot_without_running_it() {
+        let runs = counters(9);
+        let out = parallel_prep_map(
+            (0..9usize).collect(),
+            |&i| {
+                if i == 4 {
+                    panic!("prep failed on {i}");
+                }
+                i
+            },
+            |i, prepped| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
+                i + prepped
+            },
+        );
+        for (i, (result, _)) in out.iter().enumerate() {
+            if i == 4 {
+                assert_eq!(result.as_ref().unwrap_err().message, "prep failed on 4");
+            } else {
+                assert_eq!(result.as_ref().unwrap(), &(2 * i));
+            }
+        }
+        let ran = counts(&runs);
+        assert_eq!(ran[4], 0, "the failed item's run is skipped");
+        assert_eq!(ran.iter().sum::<usize>(), 8);
+    }
+
+    #[test]
+    fn a_panicking_run_fails_only_its_slot() {
+        let out = parallel_prep_map(
+            (0..9usize).collect(),
+            |&i| i,
+            |i, _| {
+                if i == 6 {
+                    panic!("run failed on {i}");
+                }
+                i
+            },
+        );
+        for (i, (result, _)) in out.iter().enumerate() {
+            assert_eq!(result.is_err(), i == 6, "slot {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "plain map item 3")]
+    fn plain_map_reraises_a_worker_panic() {
+        let items: Vec<usize> = (0..8).collect();
+        let _ = parallel_map(&items, |&i| {
+            if i == 3 {
+                panic!("plain map item {i}");
+            }
+            i
+        });
+    }
+
+    #[test]
+    fn wall_clock_covers_prep_and_run() {
+        let out = parallel_prep_map(
+            vec![(3u64, 4u64), (0, 0), (5, 1)],
+            |&(prep_ms, _)| std::thread::sleep(Duration::from_millis(prep_ms)),
+            |(_, run_ms), ()| std::thread::sleep(Duration::from_millis(run_ms)),
+        );
+        for ((prep_ms, run_ms), (_, wall)) in [(3u64, 4u64), (0, 0), (5, 1)].into_iter().zip(out) {
+            assert!(wall >= Duration::from_millis(prep_ms + run_ms), "{wall:?}");
+        }
+    }
+
+    #[test]
+    fn worker_count_is_resolved_once_and_capped_by_items() {
+        assert_eq!(worker_count(0), 0);
+        assert_eq!(worker_count(1), 1);
+        let all = worker_count(usize::MAX);
+        assert!(all >= 1);
+        assert_eq!(worker_count(usize::MAX), all);
+    }
 
     #[test]
     fn preserves_order() {

@@ -18,8 +18,8 @@ use crate::personalize::personalize_cohort_observed;
 use crate::resilient::ClientOutcome;
 use crate::scheduler::{RoundContext, RoundScheduler};
 use crate::transport::StreamUpdate;
-use calibre_data::batch::batches;
-use calibre_data::{AugmentConfig, ClientData, SynthVision};
+use calibre_data::batch::{render_local_views, TwoViews};
+use calibre_data::{AugmentConfig, ClientData, FederatedDataset, SynthVision};
 use calibre_ssl::{create_method, ssl_step_in, SslKind, SslMethod, TwoViewBatch};
 use calibre_telemetry::{ClientLosses, NullRecorder, Recorder};
 use calibre_tensor::nn::Module;
@@ -32,8 +32,11 @@ use rand::Rng;
 /// (labeled + unlabeled samples, labels unused). Returns the mean loss of
 /// the final epoch.
 ///
-/// Batches with fewer than 2 samples are skipped (contrastive losses need a
-/// negative).
+/// This is [`render_local_views`] followed by [`ssl_train_on_views`]; the
+/// round loop runs the two apart, rendering on the worker queue ahead of
+/// the training. Batches with a single sample are dropped (contrastive
+/// losses need a negative), and a pool of fewer than 2 samples trains
+/// nothing and returns 0.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's local-update signature
 pub fn ssl_local_update<R: Rng + ?Sized>(
     method: &mut dyn SslMethod,
@@ -45,30 +48,54 @@ pub fn ssl_local_update<R: Rng + ?Sized>(
     opt: &mut Sgd,
     rng_: &mut R,
 ) -> f32 {
-    let pool = data.ssl_pool();
-    if pool.len() < 2 {
-        return 0.0;
-    }
+    let views = render_local_views(&data.ssl_pool(), generator, aug, epochs, batch_size, rng_);
+    ssl_train_on_views(method, &views, opt)
+}
+
+/// Takes one SSL step per pre-rendered batch (`views[epoch][b]`, as
+/// [`render_local_views`] returns them) and returns the mean loss of the
+/// final epoch, or 0 when there is no epoch.
+pub fn ssl_train_on_views(
+    method: &mut dyn SslMethod,
+    views: &[Vec<TwoViews>],
+    opt: &mut Sgd,
+) -> f32 {
     let mut last_epoch_loss = 0.0;
     let mut arena = StepArena::new();
-    for _ in 0..epochs {
+    for epoch in views {
         let mut epoch_loss = 0.0;
-        let mut seen = 0;
-        for batch in batches(pool.len(), batch_size, true, rng_) {
-            let samples = batch.iter().map(|&i| pool[i]);
-            let (view_e, view_o) = generator.render_two_views(samples, aug, rng_);
-            epoch_loss += ssl_step_in(
-                method,
-                &TwoViewBatch::new(&view_e, &view_o),
-                opt,
-                &mut arena,
-            );
-            seen += 1;
+        for (view_e, view_o) in epoch {
+            epoch_loss += ssl_step_in(method, &TwoViewBatch::new(view_e, view_o), opt, &mut arena);
         }
-        last_epoch_loss = epoch_loss / seen.max(1) as f32;
+        last_epoch_loss = epoch_loss / epoch.len().max(1) as f32;
     }
     report_arena_stats(&arena);
     last_epoch_loss
+}
+
+/// Renders every two-view batch of client `id`'s local update in `round`,
+/// drawn from its per-round RNG ([`client_round_seed`]) — the model-free
+/// half of an SSL local update, which the round map runs as the client's
+/// prep ([`crate::parallel`]). Runs under a `render_views` span.
+pub fn render_client_views(
+    fed: &FederatedDataset,
+    cfg: &FlConfig,
+    aug: &AugmentConfig,
+    round: usize,
+    id: usize,
+) -> Vec<Vec<TwoViews>> {
+    let span = calibre_telemetry::span("render_views");
+    let pool = fed.client(id).ssl_pool();
+    span.add_items(pool.len() as u64);
+    let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+    render_local_views(
+        &pool,
+        fed.generator(),
+        aug,
+        cfg.local_epochs,
+        cfg.batch_size,
+        &mut r,
+    )
 }
 
 /// Observer invoked after every aggregation with `(round, global_encoder)`.
@@ -217,27 +244,17 @@ pub fn train_pfl_ssl_encoder_resumable(
         round_span.add_items(selected.len() as u64);
         let global_flat = global_encoder.to_flat();
 
-        // One client's local update from the round's global encoder:
-        // returns the final local loss and the client's SSL pool size.
-        let local_update = |id: usize, method: &mut dyn SslMethod| {
+        // One client's local update from the round's global encoder, over
+        // the views `render_client_views` rendered for it: returns the
+        // final local loss and the client's SSL pool size.
+        let local_update = |id: usize, method: &mut dyn SslMethod, views: &[Vec<TwoViews>]| {
             method.encoder_mut().load_flat(&global_flat);
             let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
                 cfg.local_lr,
                 cfg.local_momentum,
             ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
-            let data = fed.client(id);
-            let loss = ssl_local_update(
-                method,
-                data,
-                fed.generator(),
-                aug,
-                cfg.local_epochs,
-                cfg.batch_size,
-                &mut opt,
-                &mut r,
-            );
-            (loss, data.ssl_pool().len())
+            let loss = ssl_train_on_views(method, views, &mut opt);
+            (loss, fed.client(id).ssl_pool().len())
         };
 
         // At or above the streaming threshold the round folds wave by wave
@@ -254,7 +271,8 @@ pub fn train_pfl_ssl_encoder_resumable(
                 &mut sink,
                 |id| {
                     let mut method = fresh_method(cfg, kind, id);
-                    let (loss, count) = local_update(id, method.as_mut());
+                    let views = render_client_views(fed, cfg, aug, round, id);
+                    let (loss, count) = local_update(id, method.as_mut(), &views);
                     StreamUpdate {
                         update: method.encoder().to_flat(),
                         // Raw sample counts: the deferred-normalization sink
@@ -311,8 +329,9 @@ pub fn train_pfl_ssl_encoder_resumable(
                     .take()
                     .unwrap_or_else(|| fresh_method(cfg, kind, id))
             },
-            |id, mut method: Box<dyn SslMethod>| {
-                let (loss, count) = local_update(id, method.as_mut());
+            |id| render_client_views(fed, cfg, aug, round, id),
+            |id, mut method: Box<dyn SslMethod>, views: Vec<Vec<TwoViews>>| {
+                let (loss, count) = local_update(id, method.as_mut(), &views);
                 ClientOutcome {
                     flat: method.encoder().to_flat(),
                     state: method,

@@ -10,11 +10,14 @@
 //!    `(round, client, attempt)` cell — dropout, straggle, mid-update
 //!    panic, or update corruption;
 //! 2. runs the surviving clients through
-//!    [`crate::parallel::parallel_map_resilient`], so a panicking worker
-//!    (injected *or* genuine) is isolated to its slot instead of tearing
-//!    down the run;
+//!    [`crate::parallel::parallel_prep_map`] — each client's model-free
+//!    prep (the SSL loops render its two-view batches there) is queued
+//!    ahead of its local update, so idle workers render the next client's
+//!    views — and a panicking prep or update (injected *or* genuine) is
+//!    isolated to its slot instead of tearing down the run;
 //! 3. retries panicked clients up to [`RoundPolicy::max_retries`] times
-//!    with freshly created state (the old state died in the unwind);
+//!    with freshly created state and a fresh prep (the old state and prep
+//!    output died in the unwind);
 //! 4. validates every reported update ([`validate_update`]): non-finite
 //!    updates are rejected for the round, and [`RoundPolicy::clip_norm`]
 //!    optionally caps each update's L2 norm;
@@ -37,7 +40,7 @@ use crate::aggregate::{
     aggregate_robust, clip_norm, validate_update, Aggregator, StreamingWeightedSink, UpdateSink,
 };
 use crate::chaos::{panic_injected, ClientFault, FaultInjector};
-use crate::parallel::parallel_map_resilient;
+use crate::parallel::parallel_prep_map;
 use calibre_telemetry::{metrics, Recorder};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -163,8 +166,14 @@ pub struct ResilientRound<S, P> {
 /// - `make_state` — takes (or lazily creates) a client's persistent state;
 ///   called again with the same id when a panicked client is retried (its
 ///   previous state died in the unwind).
-/// - `work` — the local update: `(client_id, state) -> ClientOutcome`. Runs
-///   on worker threads; panics are caught and isolated per slot.
+/// - `prep` — the model-free part of a client's update, from its id alone
+///   (e.g. rendering its augmented views). Runs on worker threads, queued
+///   ahead of the client's `work`; must be deterministic per
+///   `(round, client)`, since a retried client runs it again.
+/// - `work` — the local update: `(client_id, state, prepped) ->
+///   ClientOutcome`. Runs on worker threads; panics in `prep` or `work` are
+///   caught and isolated per slot. A client's reported wall clock is its
+///   prep plus its work.
 /// - `weights_of` — maps the accepted cohort to aggregation weights (e.g.
 ///   sample counts, optionally modulated by divergence). Only called when
 ///   at least one update was accepted.
@@ -172,10 +181,11 @@ pub struct ResilientRound<S, P> {
 /// Fault and resilience telemetry is emitted on the calling thread after
 /// all attempts complete, and only when the round was non-nominal.
 #[allow(clippy::too_many_arguments)] // one entry point for the whole round
-pub fn run_round_resilient<S, P, MS, W, WF>(
+pub fn run_round_resilient<S, P, V, MS, PF, W, WF>(
     round: usize,
     selected: &[usize],
     mut make_state: MS,
+    prep: PF,
     work: W,
     weights_of: WF,
     injector: Option<&FaultInjector>,
@@ -185,8 +195,10 @@ pub fn run_round_resilient<S, P, MS, W, WF>(
 where
     S: Send,
     P: Send,
+    V: Send,
     MS: FnMut(usize) -> S,
-    W: Fn(usize, S) -> ClientOutcome<S, P> + Sync,
+    PF: Fn(usize) -> V + Sync,
+    W: Fn(usize, S, V) -> ClientOutcome<S, P> + Sync,
     WF: FnOnce(&[AcceptedClient<S, P>]) -> Vec<f32>,
 {
     let mut report = RoundReport::default();
@@ -220,15 +232,19 @@ where
         }
         pending.clear();
 
-        let results = parallel_map_resilient(wave, |(_slot, id, fault, state)| {
-            if let Some(ClientFault::Straggle { delay_ms }) = fault {
-                std::thread::sleep(Duration::from_millis(delay_ms));
-            }
-            if fault == Some(ClientFault::PanicMidUpdate) {
-                panic_injected(round, id);
-            }
-            work(id, state)
-        });
+        let results = parallel_prep_map(
+            wave,
+            |&(_slot, id, _fault, _)| prep(id),
+            |(_slot, id, fault, state), prepped| {
+                if let Some(ClientFault::Straggle { delay_ms }) = fault {
+                    std::thread::sleep(Duration::from_millis(delay_ms));
+                }
+                if fault == Some(ClientFault::PanicMidUpdate) {
+                    panic_injected(round, id);
+                }
+                work(id, state, prepped)
+            },
+        );
 
         for ((slot, id, fault), (result, wall)) in meta.into_iter().zip(results) {
             match result {
@@ -405,7 +421,7 @@ mod tests {
 
     /// A toy "client": state is its id, update is a constant vector scaled
     /// by (id + 1); weight 1 each.
-    fn toy_work(id: usize, state: u64) -> ClientOutcome<u64, f32> {
+    fn toy_work(id: usize, state: u64, (): ()) -> ClientOutcome<u64, f32> {
         let v = (id + 1) as f32;
         ClientOutcome {
             state,
@@ -426,6 +442,7 @@ mod tests {
             0,
             &selected,
             |id| id as u64,
+            |_| (),
             toy_work,
             uniform_weights,
             None,
@@ -451,6 +468,7 @@ mod tests {
             0,
             &[0usize, 1],
             |id| id as u64,
+            |_| (),
             toy_work,
             uniform_weights,
             None,
@@ -476,6 +494,7 @@ mod tests {
             0,
             &[0usize, 1, 2],
             |id| id as u64,
+            |_| (),
             toy_work,
             uniform_weights,
             Some(&injector),
@@ -504,11 +523,12 @@ mod tests {
             0,
             &[0usize, 1],
             |id| id as u64,
-            |id, state| {
+            |_| (),
+            |id, state, ()| {
                 if id == 1 && calls.fetch_add(1, Ordering::SeqCst) == 0 {
                     panic!("flaky client");
                 }
-                toy_work(id, state)
+                toy_work(id, state, ())
             },
             uniform_weights,
             None,
@@ -523,13 +543,79 @@ mod tests {
     }
 
     #[test]
+    fn a_client_retried_after_an_injected_panic_reruns_its_prep() {
+        use crate::baselines::client_round_seed;
+        use calibre_tensor::rng;
+        use rand::Rng;
+        use std::sync::Mutex;
+
+        let injector = FaultInjector::new(FaultPlan {
+            panic_prob: 0.5,
+            seed: 3,
+            ..FaultPlan::default()
+        });
+        let policy = RoundPolicy {
+            max_retries: 4,
+            ..RoundPolicy::default()
+        };
+        let selected: Vec<usize> = (0..16).collect();
+        // Stand-in for rendered views: draws from the client's round RNG.
+        let views_of = |id: usize| -> Vec<u64> {
+            let mut r = rng::seeded(client_round_seed(7, 0, id));
+            (0..4).map(|_| r.gen()).collect()
+        };
+        let preps = Mutex::new(vec![0usize; selected.len()]);
+        let seen = Mutex::new(vec![Vec::new(); selected.len()]);
+        let out = run_round_resilient(
+            0,
+            &selected,
+            |id| id as u64,
+            |id| {
+                preps.lock().unwrap()[id] += 1;
+                views_of(id)
+            },
+            |id, state, views: Vec<u64>| {
+                seen.lock().unwrap()[id].push(views);
+                toy_work(id, state, ())
+            },
+            uniform_weights,
+            Some(&injector),
+            &policy,
+            &NullRecorder,
+        );
+
+        let preps = preps.into_inner().unwrap();
+        let seen = seen.into_inner().unwrap();
+        let mut retried_and_accepted = 0;
+        for &id in &selected {
+            let attempts = (0..=policy.max_retries)
+                .position(|a| injector.decide(0, id, a).is_none())
+                .map_or(policy.max_retries + 1, |a| a + 1);
+            assert_eq!(preps[id], attempts, "client {id}: one prep per attempt");
+            // The injected panic fires after the prep, inside the run, so
+            // only the successful attempt reaches `work` — with the views
+            // its own prep rendered.
+            let accepted = out.accepted.iter().any(|a| a.id == id);
+            assert_eq!(seen[id].len(), usize::from(accepted));
+            if let Some(views) = seen[id].first() {
+                assert_eq!(views, &views_of(id));
+            }
+            if accepted && attempts > 1 {
+                retried_and_accepted += 1;
+            }
+        }
+        assert!(retried_and_accepted > 0, "the plan must retry someone");
+    }
+
+    #[test]
     fn non_finite_updates_are_rejected_but_state_survives() {
         let out = run_round_resilient(
             3,
             &[0usize, 1, 2],
             |id| id as u64,
-            |id, state| {
-                let mut o = toy_work(id, state);
+            |_| (),
+            |id, state, ()| {
+                let mut o = toy_work(id, state, ());
                 if id == 1 {
                     o.flat[2] = f32::NAN;
                 }
@@ -562,6 +648,7 @@ mod tests {
             0,
             &[4usize, 5],
             |id| id as u64,
+            |_| (),
             toy_work,
             uniform_weights,
             Some(&injector),
@@ -588,8 +675,9 @@ mod tests {
             0,
             &[0usize, 1, 2],
             |id| id as u64,
-            |id, state| {
-                let mut o = toy_work(id, state);
+            |_| (),
+            |id, state, ()| {
+                let mut o = toy_work(id, state, ());
                 if id == 0 {
                     o.flat[0] = f32::INFINITY;
                 }
@@ -614,8 +702,9 @@ mod tests {
             0,
             &[0usize, 1],
             |id| id as u64,
-            |id, state| {
-                let mut o = toy_work(id, state);
+            |_| (),
+            |id, state, ()| {
+                let mut o = toy_work(id, state, ());
                 if id == 1 {
                     for v in o.flat.iter_mut() {
                         *v *= 1e6;
@@ -646,8 +735,9 @@ mod tests {
             0,
             &[0usize, 1, 2],
             |id| id as u64,
-            |id, state| {
-                let mut o = toy_work(id, state);
+            |_| (),
+            |id, state, ()| {
+                let mut o = toy_work(id, state, ());
                 o.flat = vec![1.0; 4];
                 if id == 2 {
                     for v in o.flat.iter_mut() {

@@ -490,13 +490,19 @@ impl RoundScheduler {
     /// per-client wall-clock/loss vectors and byte accounting. The caller
     /// keeps what is loop-specific: loading the aggregate into the global
     /// model, returning states to its cache, and recording the means.
+    ///
+    /// `prep(id)` is the model-free part of a client's update (the SSL
+    /// loops render its views there; the baselines pass `|_| ()`). It runs
+    /// on the worker queue ahead of the client's `work`, which receives
+    /// its output — see [`crate::parallel`].
     #[allow(clippy::too_many_arguments)] // mirrors run_round_resilient's surface
-    pub fn run_round<S, P, MS, W, WF, L>(
+    pub fn run_round<S, P, V, MS, PF, W, WF, L>(
         &self,
         round: usize,
         selected: &[usize],
         ctx: &RoundContext<'_>,
         make_state: MS,
+        prep: PF,
         work: W,
         weights_of: WF,
         losses_of: L,
@@ -504,8 +510,10 @@ impl RoundScheduler {
     where
         S: Send,
         P: Send,
+        V: Send,
         MS: FnMut(usize) -> S,
-        W: Fn(usize, S) -> ClientOutcome<S, P> + Sync,
+        PF: Fn(usize) -> V + Sync,
+        W: Fn(usize, S, V) -> ClientOutcome<S, P> + Sync,
         WF: FnOnce(&[AcceptedClient<S, P>]) -> Vec<f32>,
         L: Fn(&P) -> (ClientLosses, f32),
     {
@@ -519,8 +527,8 @@ impl RoundScheduler {
         // the client's work function — before server-side chaos corruption,
         // validation, and clipping get their turn.
         let attacker = self.attacker.as_ref();
-        let work = move |id: usize, state: S| {
-            let mut outcome = work(id, state);
+        let work = move |id: usize, state: S, prepped: V| {
+            let mut outcome = work(id, state, prepped);
             if let Some(atk) = attacker {
                 if let Some(kind) = atk.decide(round, id) {
                     atk.apply(round, id, kind, &mut outcome.flat);
@@ -532,6 +540,7 @@ impl RoundScheduler {
             round,
             selected,
             make_state,
+            prep,
             work,
             weights_of,
             self.injector.as_ref(),
@@ -976,7 +985,8 @@ mod tests {
             &selected,
             &ctx,
             |id| id as u64,
-            |id, state| ClientOutcome {
+            |_| (),
+            |id, state, ()| ClientOutcome {
                 state,
                 // analyze:allow(lossy-cast) -- toy ids in tests.
                 flat: vec![id as f32; 4],
